@@ -9,6 +9,7 @@ semantics; gradients accumulate until explicitly zeroed.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -196,10 +197,9 @@ def reshape(a, shape) -> Tensor:
 
 def transpose(a, axes=None) -> Tensor:
     a = _as_tensor(a)
-    inverse = None if axes is None else tuple(np.argsort(axes))
 
     def backward(g):
-        return (np.transpose(g, inverse),)
+        return (np.transpose(g, None if axes is None else np.argsort(axes)),)
 
     return _make(np.transpose(a.data, axes), (a,), backward)
 
@@ -239,7 +239,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    n = a.data.size if axis is None else np.prod(
+    n = a.data.size if axis is None else math.prod(
         [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
 

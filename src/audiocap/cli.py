@@ -23,7 +23,7 @@ from .config import (RunConfig, ValidationError, load_run_config,
 from .data import (ManifestRecord, caption_examples, load_caption_clips,
                    load_manifest, load_tagging_clips, record_logmel,
                    tag_name_list, tagging_examples, write_manifest)
-from .decoding import beam_search_decode, greedy_decode
+from .decoding import beam_search_decode
 from .gradcheck import DEFAULT_TOLERANCE, model_gradient_check, tiny_configs
 from .metrics import evaluate_captions
 from .model import CaptionerModel, DecoderConfig
@@ -276,12 +276,8 @@ def cmd_caption(args) -> int:
         logmel = record_logmel(rec, cfg.frontend, base_dir)
         patches = patchify(logmel, cfg.frontend.frames_per_patch)
         memory = model.encoder_memory(model.encode_clip(patches))
-        if beam == 1:
-            ids = greedy_decode(model, memory, max_len=max_len)
-        else:
-            ids = beam_search_decode(model, memory, beam_size=beam,
-                                     max_len=max_len,
-                                     length_norm=cfg.decode.length_norm or args.length_norm)
+        ids = beam_search_decode(model, memory, beam_size=beam, max_len=max_len,
+                                 length_norm=cfg.decode.length_norm or args.length_norm)
         words = decode_tokens(ids, vocab)
         lines.append(f"{rec.clip_id}\t{' '.join(words)}")
     text = "\n".join(lines) + "\n"
@@ -302,7 +298,7 @@ def cmd_eval(args) -> int:
         if not rec.captions:
             raise ValidationError(f"reference clip {rec.clip_id!r} has no captions")
         references[rec.clip_id] = [tokenize_caption(c) for c in rec.captions]
-    candidates = {}
+    candidates, line_of = {}, {}
     for ln, line in enumerate(
             Path(args.candidates).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -310,6 +306,11 @@ def cmd_eval(args) -> int:
         if "\t" not in line:
             raise ValidationError(f"{args.candidates}:{ln}: expected 'id<TAB>caption'")
         clip_id, caption = line.split("\t", 1)
+        if clip_id in line_of:
+            raise ValidationError(
+                f"{args.candidates}:{ln}: duplicate candidate id {clip_id!r} "
+                f"(first on line {line_of[clip_id]})")
+        line_of[clip_id] = ln
         candidates[clip_id] = tokenize_caption(caption)
 
     report = evaluate_captions(candidates, references, spice_score=args.spice,
@@ -367,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--caption", action="store_true", default=True)
-    mode.add_argument("--pretrain-tagging", action="store_true", default=False)
+    p.add_argument("--pretrain-tagging", action="store_true",
+                   help="pretrain the encoder on audio tagging instead of "
+                        "training the captioner")
     p.add_argument("--init", default=None,
                    help="load encoder weights from a tagging checkpoint")
     p.add_argument("--resume", action="store_true",

@@ -64,42 +64,33 @@ class RunConfig:
                 f"frames_per_patch * mel_bins = {expected}")
 
 
-def _build(cls, data: dict, path: str):
+def _build(base, data: dict, path: str):
+    """A copy of the dataclass `base` with the keys of `data` replaced. A
+    section (a nested dataclass) is built the same way on the value `base`
+    holds for it, so keys a section omits keep that section's own default
+    (the pretraining recipe for `pretrain`, vocab_size 0 for `decoder`)."""
     if not isinstance(data, dict):
         raise ValidationError(f"config section {path or 'root'} must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - set(fields))
+    names = {f.name for f in dataclasses.fields(base)}
+    unknown = sorted(set(data) - names)
     if unknown:
         where = f"{path}." if path else ""
         raise ValidationError(f"unknown config key(s): {', '.join(where + u for u in unknown)}")
     kwargs = {}
     for key, value in data.items():
-        f = fields[key]
-        if dataclasses.is_dataclass(f.type) or (isinstance(f.type, str) and
-                                                f.type in _SECTION_TYPES):
-            sub_cls = _SECTION_TYPES[f.type] if isinstance(f.type, str) else f.type
-            kwargs[key] = _build(sub_cls, value, f"{path}.{key}" if path else key)
+        current = getattr(base, key)
+        if dataclasses.is_dataclass(current):
+            kwargs[key] = _build(current, value, f"{path}.{key}" if path else key)
         else:
             kwargs[key] = value
     try:
-        return cls(**kwargs)
+        return dataclasses.replace(base, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"invalid config section {path or 'root'}: {exc}") from exc
 
 
-_SECTION_TYPES = {
-    "FrontendConfig": FrontendConfig,
-    "EncoderConfig": EncoderConfig,
-    "DecoderConfig": DecoderConfig,
-    "TrainConfig": TrainConfig,
-    "SpecAugmentPolicy": SpecAugmentPolicy,
-    "Word2VecConfig": Word2VecConfig,
-    "DecodeConfig": DecodeConfig,
-}
-
-
 def run_config_from_dict(data: dict) -> RunConfig:
-    return _build(RunConfig, data, "")
+    return _build(RunConfig(), data, "")
 
 
 def load_run_config(path: str | Path) -> RunConfig:

@@ -1,4 +1,10 @@
-"""Autoregressive caption generation: greedy and beam search."""
+"""Autoregressive caption generation: incremental, batched beam search.
+
+Each step decodes the newest token of every live hypothesis as one batch
+through `CaptionerModel.decode_step`, which reuses cached attention keys and
+values instead of re-running the decoder on whole prefixes. Greedy decoding
+is the beam_size=1 case.
+"""
 
 from __future__ import annotations
 
@@ -21,33 +27,11 @@ class BeamHypothesis:
     finished: bool      # emitted <eos>; never extended further
 
 
-def step_log_probs(model: CaptionerModel, memory, prefix: list[int]) -> np.ndarray:
-    """Log-softmax over the vocabulary for the next position after `prefix`."""
-    with ad.no_grad():
-        logits = model.decode(np.asarray([prefix]), memory)
-    row = logits.data[0, -1]
-    shifted = row - row.max()
-    return shifted - np.log(np.exp(shifted).sum())
-
-
 def greedy_decode(model: CaptionerModel, memory, max_len: int = DEFAULT_MAX_LEN,
                   banned: tuple[int, ...] = DEFAULT_BANNED) -> list[int]:
     """Argmax decoding (ties resolve to the lowest id); stops at <eos> or
     max_len, appending <eos> if the cap was hit."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    prefix = [SOS]
-    for _ in range(max_len):
-        logp = step_log_probs(model, memory, prefix)
-        masked = logp.copy()
-        masked[list(banned)] = -np.inf
-        tok = int(np.argmax(masked))
-        prefix.append(tok)
-        if tok == EOS:
-            break
-    if prefix[-1] != EOS:
-        prefix.append(EOS)
-    return prefix
+    return beam_search_decode(model, memory, 1, max_len=max_len, banned=banned)
 
 
 def _rank_key(hyp: BeamHypothesis, length_norm: bool) -> tuple:
@@ -75,26 +59,40 @@ def beam_search_decode(model: CaptionerModel, memory, beam_size: int,
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
 
+    allowed = np.array([t for t in range(model.dec_cfg.vocab_size) if t not in banned],
+                       dtype=np.int64)
+    cache = model.start_decoding(memory)
     live = [BeamHypothesis(tokens=[], log_prob=0.0, finished=False)]
+    last_ids = [SOS]
     completed: list[BeamHypothesis] = []
     for _ in range(max_len):
-        candidates: list[BeamHypothesis] = []
-        for hyp in live:
-            logp = step_log_probs(model, memory, [SOS] + hyp.tokens)
-            for tok in range(logp.shape[0]):
-                if tok in banned:
-                    continue
-                candidates.append(BeamHypothesis(
-                    tokens=hyp.tokens + [tok],
-                    log_prob=hyp.log_prob + float(logp[tok]),
-                    finished=tok == EOS))
-        candidates.sort(key=lambda h: (-h.log_prob, h.tokens))
-        survivors = candidates[:beam_size]
-        live = []
-        for hyp in survivors:
-            (completed if hyp.finished else live).append(hyp)
+        logp = ad.log_softmax(model.decode_step(last_ids, cache), axis=-1).data
+        scores = (np.array([h.log_prob for h in live])[:, None]
+                  + logp[:, allowed]).ravel()
+        # every candidate tied with the beam_size-th best score is kept, so
+        # the exact (score, tokens) order below decides among them
+        k = scores.size - beam_size
+        cut = np.partition(scores, k)[k] if k > 0 else -np.inf
+        picked = np.flatnonzero(scores >= cut)
+        parents, cols = np.divmod(picked, allowed.size)
+        candidates = sorted(
+            ((score, live[p].tokens + [tok], p) for score, tok, p in zip(
+                scores[picked].tolist(), allowed[cols].tolist(), parents.tolist())),
+            key=lambda c: (-c[0], c[1]))[:beam_size]
+
+        next_live, rows = [], []
+        for score, tokens, parent in candidates:
+            hyp = BeamHypothesis(tokens=tokens, log_prob=score, finished=tokens[-1] == EOS)
+            if hyp.finished:
+                completed.append(hyp)
+            else:
+                next_live.append(hyp)
+                rows.append(parent)
+        live = next_live
         if not live:
             break
+        cache.reorder(rows)
+        last_ids = [hyp.tokens[-1] for hyp in live]
 
     pool = sorted(completed + live, key=lambda h: _rank_key(h, length_norm))
     best = pool[0]
@@ -104,15 +102,3 @@ def beam_search_decode(model: CaptionerModel, memory, beam_size: int,
     if return_topk:
         return ids, pool
     return ids
-
-
-def hypothesis_score_by_replay(model: CaptionerModel, memory,
-                               tokens: list[int]) -> float:
-    """Recompute a hypothesis score with fresh forward passes (oracle for
-    the stored cumulative log-probability)."""
-    prefix = [SOS]
-    total = 0.0
-    for tok in tokens:
-        total += float(step_log_probs(model, memory, prefix)[tok])
-        prefix.append(tok)
-    return total

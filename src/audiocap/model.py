@@ -6,7 +6,8 @@ sequence runs through pre-norm self-attention blocks. Decoder: token
 embeddings run through pre-norm blocks of masked self-attention, cross
 attention over the full encoder output (class token included, so generation
 sees clip-level and patch-level features), and a feed-forward sublayer,
-ending in a vocabulary projection.
+ending in a vocabulary projection. Training decodes whole prefixes at once;
+inference decodes one position at a time, reusing cached keys and values.
 """
 
 from __future__ import annotations
@@ -115,19 +116,27 @@ class MultiHeadAttention:
         self.wo = Linear(d, d, rng, bias=False)
         self.last_weights: np.ndarray | None = None  # (B, h, Tq, Tk)
 
-    def __call__(self, xq: Tensor, xkv: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    def _split(self, x: Tensor) -> Tensor:
+        """(B, T, d) -> (B, h, T, d_k)."""
+        b, t, _ = x.shape
+        return ad.transpose(ad.reshape(x, (b, t, self.heads, self.d_k)), (0, 2, 1, 3))
+
+    def keys_values(self, xkv: Tensor) -> tuple[Tensor, Tensor]:
+        """Head-split key and value projections (B, h, Tk, d_k) of `xkv`."""
+        return self._split(self.wk(xkv)), self._split(self.wv(xkv))
+
+    def __call__(self, xq: Tensor, xkv: Tensor | None = None,
+                 mask: np.ndarray | None = None,
+                 kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
+        """Attend from `xq` over `xkv`, or over precomputed `kv` (from
+        `keys_values`, whose batch axis may be 1 and broadcast)."""
         b, tq, _ = xq.shape
-        tk = xkv.shape[1]
+        k, v = kv if kv is not None else self.keys_values(xkv)
+        tk = k.shape[2]
         if mask is not None and mask.shape != (tq, tk):
             raise ValueError(f"mask shape {mask.shape} does not match ({tq}, {tk})")
 
-        def split(x: Tensor, t: int) -> Tensor:
-            return ad.transpose(ad.reshape(x, (b, t, self.heads, self.d_k)),
-                                (0, 2, 1, 3))
-
-        q = split(self.wq(xq), tq)
-        k = split(self.wk(xkv), tk)
-        v = split(self.wv(xkv), tk)
+        q = self._split(self.wq(xq))
         scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
                         1.0 / np.sqrt(self.d_k))
         if mask is not None:
@@ -210,6 +219,23 @@ class DecoderLayer:
                       self.dropout, train, rng)
         return x
 
+    def step(self, x: Tensor, self_kv: tuple[Tensor, Tensor] | None,
+             cross_kv: tuple[Tensor, Tensor]) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+        """One inference position: x (B, 1, d) is the newest row of each
+        live sequence, self_kv the self-attention keys and values of its
+        earlier positions (None at the first). Returns the layer output and
+        self_kv extended by this position; no mask is needed, since a row
+        only ever sees the positions before it."""
+        normed = self.ln1(x)
+        k, v = self.self_attn.keys_values(normed)
+        if self_kv is not None:
+            k = ad.concat([self_kv[0], k], axis=2)
+            v = ad.concat([self_kv[1], v], axis=2)
+        x = ad.add(x, self.self_attn(normed, kv=(k, v)))
+        x = ad.add(x, self.cross_attn(self.ln2(x), kv=cross_kv))
+        x = ad.add(x, self.ffn(self.ln3(x), 0.0, False, None))
+        return x, (k, v)
+
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield from self.ln1.named_params(f"{prefix}.ln1")
         yield from self.self_attn.named_params(f"{prefix}.self_attn")
@@ -217,6 +243,23 @@ class DecoderLayer:
         yield from self.cross_attn.named_params(f"{prefix}.cross_attn")
         yield from self.ln3.named_params(f"{prefix}.ln3")
         yield from self.ffn.named_params(f"{prefix}.ffn")
+
+
+class DecoderCache:
+    """What incremental decoding of one clip reuses, per decoder layer: the
+    cross-attention keys and values of the encoder memory (computed once)
+    and the self-attention keys and values of every position decoded so
+    far, one batch row per live sequence."""
+
+    def __init__(self, cross_kv: list[tuple[Tensor, Tensor]]):
+        self.cross_kv = cross_kv
+        self.self_kv: list[tuple[Tensor, Tensor] | None] = [None] * len(cross_kv)
+
+    def reorder(self, rows) -> None:
+        """Continue from the sequences at batch `rows`, in that order; a
+        row repeats when several continuations share a parent."""
+        self.self_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows]))
+                        for k, v in self.self_kv]
 
 
 def causal_mask(t: int) -> np.ndarray:
@@ -345,6 +388,23 @@ class CaptionerModel:
         for layer in self.dec_layers:
             x = layer(x, memory, mask, train, rng)
         return self.out_proj(self.dec_final_ln(x))
+
+    def start_decoding(self, memory: Tensor) -> DecoderCache:
+        """Cache for `decode_step` over one clip's memory (1, S, d_dec)."""
+        with ad.no_grad():
+            return DecoderCache([layer.cross_attn.keys_values(memory)
+                                 for layer in self.dec_layers])
+
+    def decode_step(self, last_ids, cache: DecoderCache) -> Tensor:
+        """No-grad inference step: the newest token of each of B live
+        sequences -> logits (B, K_v) for the next position, equal to the last
+        row of `decode` on the whole prefixes. Appends the position to
+        `cache`."""
+        with ad.no_grad():
+            x = ad.embedding(self.word_embed, np.asarray(last_ids).reshape(-1, 1))
+            for i, layer in enumerate(self.dec_layers):
+                x, cache.self_kv[i] = layer.step(x, cache.self_kv[i], cache.cross_kv[i])
+            return self.out_proj(self.dec_final_ln(x[:, 0]))
 
     def caption_logits(self, patches: np.ndarray, token_ids: np.ndarray,
                        train: bool = False,

@@ -18,8 +18,7 @@ from audiocap.audio import (FrontendConfig, LogMelSpectrogram,
 from audiocap.checkpoint import load_checkpoint
 from audiocap.cli import main
 from audiocap.data import load_manifest, load_tagging_clips, tag_name_list
-from audiocap.decoding import (beam_search_decode, greedy_decode,
-                               hypothesis_score_by_replay)
+from audiocap.decoding import beam_search_decode, greedy_decode
 from audiocap.gradcheck import model_gradient_check, tiny_configs
 from audiocap.metrics import (EvalPair, bleu, cider, mean_average_precision,
                               rouge_l, spider)
@@ -28,6 +27,7 @@ from audiocap.synth import event_phrase, make_corpus
 from audiocap.text import EOS, SOS, build_vocabulary, encode, tokenize_caption
 from audiocap.training import (CaptionExample, TaggingExample, TrainConfig,
                                lr_at_epoch, pretrain_tagging, train_captioner)
+from beam_reference import hypothesis_score_by_replay
 
 RESULTS: list[str] = []
 

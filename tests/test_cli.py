@@ -122,6 +122,18 @@ def test_default_config_is_valid():
     assert cfg.pretrain.epochs == 20 and cfg.pretrain.batch_size == 128
 
 
+def test_decoder_section_without_vocab_size_parses():
+    cfg = run_config_from_dict({"decoder": {"dropout": 0.0}})
+    assert cfg.decoder.vocab_size == 0 and cfg.decoder.dropout == 0.0
+
+
+def test_partial_pretrain_section_keeps_pretraining_defaults():
+    cfg = run_config_from_dict({"pretrain": {"base_lr": 2e-4}})
+    assert cfg.pretrain.base_lr == 2e-4
+    assert cfg.pretrain.epochs == 20 and cfg.pretrain.batch_size == 128
+    assert cfg.train.epochs == 30 and cfg.train.batch_size == 32
+
+
 # ---------------------------------------------------------------------------
 # train / caption / eval
 # ---------------------------------------------------------------------------
@@ -201,6 +213,21 @@ def test_eval_missing_id_names_it(tmp_path, corpus, capsys):
                  "--out", str(tmp_path / "rep")])
     assert code == 3
     assert "ghost" in capsys.readouterr().err
+
+
+def test_eval_rejects_duplicate_candidate_ids(tmp_path, corpus, capsys):
+    refs = corpus / "captions.jsonl"
+    rows = [json.loads(l) for l in refs.read_text().splitlines()]
+    lines = [f"{r['id']}\t{r['captions'][0]}\n" for r in rows]
+    lines.append(f"{rows[1]['id']}\ta tone sounds\n")
+    caps = tmp_path / "caps.tsv"
+    caps.write_text("".join(lines))
+    code = main(["eval", "--candidates", str(caps), "--references", str(refs),
+                 "--out", str(tmp_path / "rep")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert rows[1]["id"] in err and f":{len(lines)}:" in err and "line 2" in err
+    assert not (tmp_path / "rep" / "report.json").exists()
 
 
 def test_eval_spice_supplied_enables_spider(tmp_path, corpus):
@@ -354,4 +381,11 @@ def test_gradcheck_deterministic_output(tmp_path, capsys):
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # missing required arguments
+    assert exc.value.code == 2
+
+
+def test_train_has_no_caption_flag(tmp_path):
+    # captioning is what `train` does unless --pretrain-tagging is given
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--caption", "--manifest", "m.jsonl", "--out", str(tmp_path)])
     assert exc.value.code == 2

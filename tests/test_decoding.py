@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from audiocap import autodiff as ad
-from audiocap.decoding import (beam_search_decode, greedy_decode,
-                               hypothesis_score_by_replay, step_log_probs)
+from audiocap.decoding import DEFAULT_BANNED, beam_search_decode, greedy_decode
 from audiocap.model import CaptionerModel, DecoderConfig, EncoderConfig
 from audiocap.text import EOS, PAD, SOS, UNK
+from beam_reference import (hypothesis_score_by_replay, reference_beam_search,
+                            step_log_probs)
 
 
-def toy_model(vocab_size=8, seed=0):
+def toy_model(vocab_size=8, seed=0, dec_layers=1):
     enc = EncoderConfig(d=16, heads=2, layers=1, ffn_dim=32, dropout=0.0,
                         patch_dim=8, max_patches=4)
-    dec = DecoderConfig(vocab_size=vocab_size, d=16, heads=2, layers=1,
+    dec = DecoderConfig(vocab_size=vocab_size, d=16, heads=2, layers=dec_layers,
                         ffn_dim=32, dropout=0.0)
     model = CaptionerModel(enc, dec, num_tags=1, seed=seed)
     # move off the near-uniform init so decoding has real structure
@@ -28,6 +29,50 @@ def toy_memory(model, seed=0):
     patches = rng.normal(size=(1, 3, 8))
     with ad.no_grad():
         return model.encoder_memory(model.encode(model.embed_patches(patches)))
+
+
+# ---------------------------------------------------------------------------
+# incremental decode step
+# ---------------------------------------------------------------------------
+
+def full_prefix_last_rows(model, memory, prefixes):
+    with ad.no_grad():
+        return np.stack([model.decode(np.asarray([p]), memory).data[0, -1]
+                         for p in prefixes])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decode_step_equals_last_row_of_full_decode(seed):
+    model = toy_model(seed=seed, dec_layers=2)
+    memory = toy_memory(model, seed)
+    rng = np.random.default_rng(seed + 200)
+    cache = model.start_decoding(memory)
+    prefixes = [[SOS], [SOS], [SOS]]
+    for t in range(7):
+        if t == 3:
+            # keep the third sequence twice and the first once, drop the second
+            cache.reorder([2, 2, 0])
+            prefixes = [list(prefixes[2]), list(prefixes[2]), list(prefixes[0])]
+            # the newest tokens are not in the cache yet, so they may differ
+            prefixes[0][-1], prefixes[1][-1] = 6, 7
+        logits = model.decode_step([p[-1] for p in prefixes], cache).data
+        assert logits.shape == (3, 8)
+        expected = full_prefix_last_rows(model, memory, prefixes)
+        assert np.max(np.abs(logits - expected)) <= 1e-12
+        for p in prefixes:
+            p.append(int(rng.integers(4, 8)))
+
+
+def test_decode_step_attention_weight_shapes():
+    model = toy_model(dec_layers=2)
+    memory = toy_memory(model)  # 3 patches + class token = 4 rows
+    cache = model.start_decoding(memory)
+    model.decode_step([SOS], cache)
+    cache.reorder([0, 0, 0])
+    model.decode_step([4, 5, 6], cache)
+    for layer in model.dec_layers:
+        assert layer.cross_attn.last_weights.shape == (3, 2, 1, 4)
+        assert layer.self_attn.last_weights.shape == (3, 2, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +134,52 @@ def test_beam_size_one_equals_greedy():
         memory = toy_memory(model, seed)
         assert beam_search_decode(model, memory, beam_size=1) == \
             greedy_decode(model, memory)
+
+
+@pytest.mark.parametrize("beam_size,max_len,banned,length_norm", [
+    (1, 8, DEFAULT_BANNED, False),
+    (3, 8, DEFAULT_BANNED, False),
+    (5, 8, DEFAULT_BANNED, False),
+    (5, 8, DEFAULT_BANNED, True),
+    (5, 6, (), False),
+    (64, 3, (), False),
+    (64, 3, DEFAULT_BANNED, True),
+    (1, 1, DEFAULT_BANNED, False),
+    (5, 1, (), False),
+])
+def test_beam_matches_full_prefix_reference(beam_size, max_len, banned, length_norm):
+    for seed in range(3):
+        model = toy_model(seed=seed)
+        memory = toy_memory(model, seed)
+        ids, pool = beam_search_decode(model, memory, beam_size, max_len=max_len,
+                                       banned=banned, length_norm=length_norm,
+                                       return_topk=True)
+        ref_ids, ref_pool = reference_beam_search(model, memory, beam_size, max_len,
+                                                  banned, length_norm)
+        assert ids == ref_ids
+        assert [h.tokens for h in pool] == [h.tokens for h in ref_pool]
+        assert [h.finished for h in pool] == [h.finished for h in ref_pool]
+        for hyp, ref in zip(pool, ref_pool):
+            assert abs(hyp.log_prob - ref.log_prob) <= 1e-9
+
+
+def test_beam_matches_reference_when_scores_tie():
+    # tokens 6 and 7 share their embedding and output column, so every
+    # hypothesis using one has an exact twin using the other; the beam must
+    # keep all candidates tied at the cut and rank them by their tokens
+    for seed in range(4):
+        model = toy_model(seed=seed)
+        model.out_proj.w.data[:, 7] = model.out_proj.w.data[:, 6]
+        model.out_proj.b.data[7] = model.out_proj.b.data[6]
+        model.word_embed.data[7] = model.word_embed.data[6]
+        memory = toy_memory(model, seed)
+        for beam_size in (1, 2, 3, 4):
+            ids, pool = beam_search_decode(model, memory, beam_size, max_len=6,
+                                           return_topk=True)
+            ref_ids, ref_pool = reference_beam_search(model, memory, beam_size, 6,
+                                                      DEFAULT_BANNED)
+            assert ids == ref_ids
+            assert [h.tokens for h in pool] == [h.tokens for h in ref_pool]
 
 
 def test_beam_rejects_bad_beam_size():
