@@ -3,7 +3,8 @@
 Only the primitives the captioning model needs: elementwise arithmetic with
 broadcasting, (batched) matmul, reductions, indexing, softmax/log-softmax,
 GELU, sigmoid forms, dropout and embedding lookup. Single-threaded graph
-semantics; gradients accumulate until explicitly zeroed.
+semantics. Only leaves (tensors made with requires_grad=True) hold a `.grad`;
+it accumulates until explicitly zeroed.
 """
 
 from __future__ import annotations
@@ -123,7 +124,6 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.grad = np.zeros_like(out.data)
         out._parents = tuple(parents)
         out._backward = backward
     return out
@@ -375,9 +375,10 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad with d(loss)/d(tensor) for every tensor feeding `loss`.
+    """Add d(loss)/d(leaf) into .grad of every leaf feeding `loss`.
 
     Repeated calls accumulate; the caller zeroes grads between steps.
+    Intermediate tensors keep .grad None.
     """
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
@@ -414,18 +415,15 @@ def backward(loss: Tensor) -> None:
         g = flowing.pop(id(node), None)
         if g is None:
             continue
-        node.grad += g
         if node._backward is None:
+            node.grad += g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if not parent.requires_grad or pg is None:
                 continue
             acc = flowing.get(id(parent))
-            if acc is None:
-                # copy: an op may hand the same array to several parents
-                flowing[id(parent)] = np.array(pg)
-            else:
-                acc += pg
+            # never in place: an op may hand the same array to several parents
+            flowing[id(parent)] = pg if acc is None else acc + pg
 
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float) -> float:
