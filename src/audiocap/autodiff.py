@@ -65,9 +65,6 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0.0
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -359,15 +356,22 @@ def embedding(weight, ids: np.ndarray) -> Tensor:
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then affine with gamma/beta."""
+    """Normalize over the last axis, then affine with gamma/beta. One node
+    with a closed-form backward."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.shape[-1] == 0:
         raise ValueError("layer_norm over an empty last axis")
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gamma), beta)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    xhat = centered * inv
+
+    def backward(g):
+        gx = g * gamma.data
+        dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        return (dx, _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape))
+
+    return _make(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line surface: synth-data, train, caption, eval, gradcheck.
 
-Exit codes: 0 success, 2 usage error, 3 validation error, 4 I/O error.
+Exit codes: 0 success, 2 usage error, 3 validation or numeric error,
+4 I/O error.
 Every command is reproducible: config + seed + inputs determine outputs.
 """
 
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import patchify
+from .autodiff import NumericError, no_grad
 from .checkpoint import (Checkpoint, load_checkpoint, load_model_state,
                          model_state, save_checkpoint)
 from .config import (RunConfig, ValidationError, load_run_config,
@@ -75,11 +77,9 @@ def _load_config(args) -> RunConfig:
     cfg = load_run_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.train.seed = args.seed
-        cfg.pretrain.seed = args.seed
-    else:
-        cfg.train.seed = cfg.train.seed or cfg.seed
-        cfg.pretrain.seed = cfg.pretrain.seed or cfg.seed
+    for section in (cfg.train, cfg.pretrain):
+        if args.seed is not None or section.seed is None:
+            section.seed = cfg.seed
     return cfg
 
 
@@ -275,7 +275,8 @@ def cmd_caption(args) -> int:
     for rec in sorted(records, key=lambda r: r.clip_id):
         logmel = record_logmel(rec, cfg.frontend, base_dir)
         patches = patchify(logmel, cfg.frontend.frames_per_patch)
-        memory = model.encoder_memory(model.encode_clip(patches))
+        with no_grad():
+            memory = model.encoder_memory(model.encode_clip(patches))
         ids = beam_search_decode(model, memory, beam_size=beam, max_len=max_len,
                                  length_norm=cfg.decode.length_norm or args.length_norm)
         words = decode_tokens(ids, vocab)
@@ -408,10 +409,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (ValueError, NumericError) as exc:  # ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -50,8 +50,9 @@ class RunConfig:
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     decoder: DecoderConfig = field(default_factory=_desk_decoder)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    pretrain: TrainConfig = field(default_factory=pretrain_defaults)
+    # a section seed left unset (None) means the run's `seed`
+    train: TrainConfig = field(default_factory=lambda: TrainConfig(seed=None))
+    pretrain: TrainConfig = field(default_factory=lambda: pretrain_defaults(seed=None))
     augment: SpecAugmentPolicy = field(default_factory=SpecAugmentPolicy)
     word2vec: Word2VecConfig = field(default_factory=Word2VecConfig)
     decode: DecodeConfig = field(default_factory=DecodeConfig)

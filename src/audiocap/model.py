@@ -339,9 +339,6 @@ class CaptionerModel:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def encoder_parameters(self) -> list[Tensor]:
-        return [p for name, p in self.named_parameters() if name.startswith("enc.")]
-
     def param_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
 

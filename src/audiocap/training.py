@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import NumericError, Tensor
 from .model import CaptionerModel
 from .optim import Adam
 from .text import PAD
@@ -24,7 +25,7 @@ class TrainConfig:
     decay_factor: float = 0.1
     label_smoothing: float = 0.1
     dropout: float = 0.2
-    seed: int = 0
+    seed: int | None = 0
     freeze_encoder: bool = False
     checkpoint_every: int = 50
 
@@ -154,51 +155,34 @@ class EpochStats:
     mean_loss: float
 
 
+BatchLoss = Callable[[list, np.random.Generator], Tensor]
+
+
 def _batches(n: int, batch_size: int, order: np.ndarray):
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
 
 
-def train_caption_epoch(model: CaptionerModel, examples: Sequence[CaptionExample],
-                        cfg: TrainConfig, optimizer: Adam, epoch: int) -> EpochStats:
-    """One pass over the dataset: one Adam step per batch at lr_at_epoch."""
+def train_epoch(examples: Sequence, batch_loss: BatchLoss, cfg: TrainConfig,
+                optimizer: Adam, epoch: int) -> EpochStats:
+    """One pass over the dataset: one Adam step per batch at lr_at_epoch on
+    `batch_loss(batch, rng)`. A non-finite batch loss stops training with a
+    NumericError before it reaches the parameters."""
     if not examples:
-        raise ValueError("empty caption dataset")
+        raise ValueError("empty training dataset")
     lr = lr_at_epoch(epoch, cfg)
     order = np.random.default_rng([cfg.seed, epoch, 0]).permutation(len(examples))
     losses = []
     for bi, idx in enumerate(_batches(len(examples), cfg.batch_size, order)):
-        batch = [examples[i] for i in idx]
         rng = np.random.default_rng([cfg.seed, epoch, 1 + bi])
         optimizer.zero_grad()
-        loss = caption_batch_loss(model, batch, cfg.label_smoothing,
-                                  train=True, rng=rng)
+        loss = batch_loss([examples[i] for i in idx], rng)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise NumericError(f"non-finite loss {value} at epoch {epoch}, batch {bi + 1}")
         ad.backward(loss)
         optimizer.step(lr)
-        losses.append(loss.item())
-    return EpochStats(epoch=epoch, lr=lr, mean_loss=float(np.mean(losses)))
-
-
-def train_tagging_epoch(model: CaptionerModel, examples: Sequence[TaggingExample],
-                        cfg: TrainConfig, optimizer: Adam, epoch: int) -> EpochStats:
-    if not examples:
-        raise ValueError("empty tagging dataset")
-    if model.num_tags < 1:
-        raise ValueError("model has no tag classes")
-    lr = lr_at_epoch(epoch, cfg)
-    order = np.random.default_rng([cfg.seed, epoch, 0]).permutation(len(examples))
-    losses = []
-    for bi, idx in enumerate(_batches(len(examples), cfg.batch_size, order)):
-        batch = [examples[i] for i in idx]
-        rng = np.random.default_rng([cfg.seed, epoch, 1 + bi])
-        patches = np.stack([ex.patches for ex in batch])
-        labels = np.stack([ex.labels for ex in batch])
-        optimizer.zero_grad()
-        encoded = model.encode(model.embed_patches(patches), train=True, rng=rng)
-        loss = bce_with_logits(model.tagging_logits(encoded), labels)
-        ad.backward(loss)
-        optimizer.step(lr)
-        losses.append(loss.item())
+        losses.append(value)
     return EpochStats(epoch=epoch, lr=lr, mean_loss=float(np.mean(losses)))
 
 
@@ -223,6 +207,21 @@ def trainable_caption_params(model: CaptionerModel,
             if not (name.startswith("enc.") or name.startswith("tag_head"))]
 
 
+def _run_epochs(provider: Callable[[int], Sequence], batch_loss: BatchLoss,
+                cfg: TrainConfig, optimizer: Adam, start_epoch: int,
+                on_epoch: Callable[[EpochStats], None] | None,
+                stop_below: float | None = None) -> TrainResult:
+    result = TrainResult()
+    for epoch in range(start_epoch, cfg.epochs + 1):
+        stats = train_epoch(provider(epoch), batch_loss, cfg, optimizer, epoch)
+        result.history.append(stats)
+        if on_epoch is not None:
+            on_epoch(stats)
+        if stop_below is not None and stats.mean_loss < stop_below:
+            break
+    return result
+
+
 def train_captioner(model: CaptionerModel, provider: ExampleProvider,
                     cfg: TrainConfig, start_epoch: int = 1,
                     optimizer: Adam | None = None,
@@ -234,30 +233,25 @@ def train_captioner(model: CaptionerModel, provider: ExampleProvider,
     `stop_below` halts early once the mean epoch loss crosses the threshold.
     """
     optimizer = optimizer or Adam(trainable_caption_params(model, cfg.freeze_encoder))
-    result = TrainResult()
-    for epoch in range(start_epoch, cfg.epochs + 1):
-        stats = train_caption_epoch(model, provider(epoch), cfg, optimizer, epoch)
-        result.history.append(stats)
-        if on_epoch is not None:
-            on_epoch(stats)
-        if stop_below is not None and stats.mean_loss < stop_below:
-            break
-    return result
+
+    def batch_loss(batch, rng):
+        return caption_batch_loss(model, batch, cfg.label_smoothing, train=True, rng=rng)
+
+    return _run_epochs(provider, batch_loss, cfg, optimizer, start_epoch,
+                       on_epoch, stop_below)
 
 
 def pretrain_tagging(model: CaptionerModel, provider: Callable[[int], Sequence[TaggingExample]],
                      cfg: TrainConfig, on_epoch: Callable[[EpochStats], None] | None = None
                      ) -> TrainResult:
     """Audio-tagging pretraining: only encoder + tagging head are updated."""
-    if model.num_tags < 1:
-        raise ValueError("tagging pretraining needs at least one class")
     params = [p for name, p in model.named_parameters()
               if name.startswith("enc.") or name.startswith("tag_head")]
-    optimizer = Adam(params)
-    result = TrainResult()
-    for epoch in range(1, cfg.epochs + 1):
-        stats = train_tagging_epoch(model, provider(epoch), cfg, optimizer, epoch)
-        result.history.append(stats)
-        if on_epoch is not None:
-            on_epoch(stats)
-    return result
+
+    def batch_loss(batch, rng):
+        patches = np.stack([ex.patches for ex in batch])
+        labels = np.stack([ex.labels for ex in batch])
+        encoded = model.encode(model.embed_patches(patches), train=True, rng=rng)
+        return bce_with_logits(model.tagging_logits(encoded), labels)
+
+    return _run_epochs(provider, batch_loss, cfg, Adam(params), 1, on_epoch)

@@ -91,6 +91,40 @@ def test_layer_norm_empty_axis_rejected():
                       Tensor(np.zeros(0)), 1e-5)
 
 
+def composite_layer_norm(x, gamma, beta, eps):
+    """layer_norm as nine primitive nodes, the reference for the fused op."""
+    mu = ad.mean(x, axis=-1, keepdims=True)
+    centered = ad.sub(x, mu)
+    var = ad.mean(ad.mul(centered, centered), axis=-1, keepdims=True)
+    inv = ad.power(ad.add(var, eps), -0.5)
+    return ad.add(ad.mul(ad.mul(centered, inv), gamma), beta)
+
+
+LN_CASES = [((5, 8), 1e-5), ((2, 7, 16), 1e-5), ((5, 8), 1e-14), ((2, 7, 16), 1e-14)]
+
+
+@pytest.mark.parametrize("shape,eps", LN_CASES)
+def test_layer_norm_forward_bytes_equal_composite(shape, eps):
+    x = Tensor(rand(shape, seed=4) * 3.0 + 1.0)
+    gamma, beta = Tensor(rand(shape[-1:], 5)), Tensor(rand(shape[-1:], 6))
+    fused = ad.layer_norm(x, gamma, beta, eps).data
+    assert fused.tobytes() == composite_layer_norm(x, gamma, beta, eps).data.tobytes()
+
+
+@pytest.mark.parametrize("shape,eps", LN_CASES)
+def test_layer_norm_backward_matches_composite(shape, eps):
+    probe = Tensor(rand(shape, seed=7))
+    grads = []
+    for op in (ad.layer_norm, composite_layer_norm):
+        x = Tensor(rand(shape, seed=4) * 3.0 + 1.0, requires_grad=True)
+        gamma = Tensor(rand(shape[-1:], 5), requires_grad=True)
+        beta = Tensor(rand(shape[-1:], 6), requires_grad=True)
+        ad.backward(ad.sum_(ad.mul(op(x, gamma, beta, eps), probe)))
+        grads.append((x.grad, gamma.grad, beta.grad))
+    for fused, ref in zip(*grads):
+        assert np.abs(fused - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 # ---------------------------------------------------------------------------
 # gelu
 # ---------------------------------------------------------------------------
@@ -154,6 +188,30 @@ def test_matmul_product_gradient_matches_finite_differences():
     a = Tensor(rand((3, 4), seed=6), requires_grad=True)
     err = ad.finite_diff_check(lambda t: ad.sum_(ad.matmul(t, b)), a, 1e-4)
     assert err < 1e-5
+
+
+def test_backward_grads_only_on_leaves():
+    x = Tensor(rand((2, 3)), requires_grad=True)
+    w = Tensor(rand((3, 4), seed=1), requires_grad=True)
+    hidden = ad.matmul(x, w)
+    ad.backward(ad.add(ad.sum_(ad.mul(hidden, hidden)), ad.sum_(ad.mul(x, 5.0))))
+    assert hidden.grad is None
+    # x is reached by two paths: d/dx = 2 (xw) w^T + 5, d/dw = 2 x^T (xw)
+    np.testing.assert_allclose(x.grad, 2 * hidden.data @ w.data.T + 5.0, rtol=1e-12)
+    np.testing.assert_allclose(w.grad, 2 * x.data.T @ hidden.data, rtol=1e-12)
+
+
+def test_backward_shared_gradient_array_is_not_mutated():
+    # add hands its incoming gradient, one array, to both of its inputs. Here
+    # the outer add gives the same array to `c` and to the inner add, which
+    # gives it to the leaves a and b; b then gets a second gradient through
+    # mul. Summing that into the shared array in place would also change
+    # what c receives: c.grad would read 4 instead of 1.
+    a, b, c = (Tensor(np.zeros(3), requires_grad=True) for _ in range(3))
+    ad.backward(ad.sum_(ad.add(ad.add(ad.add(a, b), ad.mul(b, 3.0)), c)))
+    np.testing.assert_array_equal(a.grad, np.ones(3))
+    np.testing.assert_array_equal(b.grad, np.full(3, 4.0))
+    np.testing.assert_array_equal(c.grad, np.ones(3))
 
 
 def test_backward_same_tensor_used_twice():

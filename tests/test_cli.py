@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from audiocap import autodiff
+from audiocap import autodiff, data
 from audiocap.checkpoint import load_checkpoint
-from audiocap.cli import main
+from audiocap.cli import _load_config, build_parser, main
 from audiocap.config import (RunConfig, ValidationError, load_run_config,
                              run_config_from_dict)
 
@@ -322,6 +322,59 @@ def test_resume_without_checkpoint_fails(tmp_path, corpus, capsys):
                  "--out", str(tmp_path / "empty"), "--resume"])
     assert code == 3
     assert "checkpoint" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# seeds and numeric failures
+# ---------------------------------------------------------------------------
+
+def _parsed_config(path, *extra):
+    args = build_parser().parse_args(
+        ["train", "--config", str(path), "--manifest", "m", "--out", "o", *extra])
+    return _load_config(args)
+
+
+def test_explicit_section_seed_zero_is_kept(tmp_path):
+    path = write_config(tmp_path, {"seed": 7, "train.seed": 0})
+    cfg = _parsed_config(path)
+    assert (cfg.seed, cfg.train.seed, cfg.pretrain.seed) == (7, 0, 7)
+    cfg = _parsed_config(write_config(tmp_path, {"seed": 7}))
+    assert (cfg.train.seed, cfg.pretrain.seed) == (7, 7)
+    cfg = _parsed_config(path, "--seed", "5")
+    assert (cfg.seed, cfg.train.seed, cfg.pretrain.seed) == (5, 5, 5)
+
+
+def test_explicit_train_seed_zero_reaches_the_checkpoint(tmp_path, corpus):
+    cfg = write_config(tmp_path, {"seed": 7, "train.seed": 0})
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg),
+                 "--manifest", str(corpus / "captions.jsonl"),
+                 "--out", str(run)]) == 0
+    saved = load_checkpoint(run / "model.bin").config
+    assert saved["seed"] == 7 and saved["train"]["seed"] == 0
+
+
+def test_nan_input_stops_training_with_exit_3(tmp_path, corpus, capsys, monkeypatch):
+    real_read_wav = data.read_wav
+
+    def read_wav(path):
+        wave = real_read_wav(path)
+        if Path(path).name == "clip0002.wav":
+            wave.samples[:] = np.nan
+        return wave
+
+    monkeypatch.setattr(data, "read_wav", read_wav)
+    cfg = write_config(tmp_path, {"train.batch_size": 1})
+    run = tmp_path / "run"
+    code = main(["train", "--config", str(cfg),
+                 "--manifest", str(corpus / "captions.jsonl"), "--out", str(run)])
+    assert code == 3
+    # clip 2 is the third example; batches of one follow the epoch's order
+    order = np.random.default_rng([TINY_CONFIG["seed"], 1, 0]).permutation(4)
+    batch = int(np.flatnonzero(order == 2)[0]) + 1
+    err = capsys.readouterr().err
+    assert f"non-finite loss nan at epoch 1, batch {batch}" in err
+    assert not (run / "model.bin").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from audiocap import autodiff as ad
-from audiocap.autodiff import Tensor
+from audiocap.autodiff import NumericError, Tensor
 from audiocap.model import CaptionerModel, DecoderConfig, EncoderConfig
 from audiocap.optim import Adam
 from audiocap.text import EOS, PAD, SOS
@@ -12,7 +12,7 @@ from audiocap.training import (CaptionExample, TaggingExample, TrainConfig,
                                bce_tagging_loss, bce_with_logits,
                                caption_batch_loss, label_smoothed_ce,
                                lr_at_epoch, pretrain_tagging,
-                               train_caption_epoch, train_captioner,
+                               train_captioner, train_epoch,
                                trainable_caption_params)
 
 
@@ -187,7 +187,8 @@ def test_single_step_reduces_batch_loss():
     optimizer = Adam(trainable_caption_params(model, freeze_encoder=False))
     cfg = TrainConfig(epochs=1, batch_size=4, base_lr=1e-5, warmup_epochs=1,
                       label_smoothing=0.0, dropout=0.0, seed=0)
-    train_caption_epoch(model, examples, cfg, optimizer, epoch=1)
+    train_epoch(examples, lambda batch, rng: caption_batch_loss(
+        model, batch, 0.0, train=True, rng=rng), cfg, optimizer, epoch=1)
     after = caption_batch_loss(model, examples, 0.0, train=False, rng=None).item()
     assert after < before
 
@@ -231,7 +232,21 @@ def test_empty_dataset_rejected():
     model = small_model()
     cfg = TrainConfig(epochs=1, batch_size=2, seed=0)
     with pytest.raises(ValueError):
-        train_caption_epoch(model, [], cfg, Adam(model.parameters()), 1)
+        train_captioner(model, lambda e: [], cfg)
+
+
+def test_non_finite_batch_loss_names_epoch_and_batch():
+    w = Tensor(np.ones(2), requires_grad=True)
+    losses = iter([1.0, np.inf])
+    cfg = TrainConfig(epochs=3, batch_size=2, seed=0)
+    optimizer = Adam([w])
+
+    def batch_loss(batch, rng):
+        return ad.mul(ad.sum_(w), next(losses))
+
+    with pytest.raises(NumericError, match="epoch 3, batch 2"):
+        train_epoch([0, 1, 2, 3], batch_loss, cfg, optimizer, epoch=3)
+    assert optimizer.state.step == 1  # the non-finite batch took no step
 
 
 def test_one_clip_memorization_desk_dims():
