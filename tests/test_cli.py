@@ -344,16 +344,6 @@ def test_explicit_section_seed_zero_is_kept(tmp_path):
     assert (cfg.seed, cfg.train.seed, cfg.pretrain.seed) == (5, 5, 5)
 
 
-def test_explicit_train_seed_zero_reaches_the_checkpoint(tmp_path, corpus):
-    cfg = write_config(tmp_path, {"seed": 7, "train.seed": 0})
-    run = tmp_path / "run"
-    assert main(["train", "--config", str(cfg),
-                 "--manifest", str(corpus / "captions.jsonl"),
-                 "--out", str(run)]) == 0
-    saved = load_checkpoint(run / "model.bin").config
-    assert saved["seed"] == 7 and saved["train"]["seed"] == 0
-
-
 def test_nan_input_stops_training_with_exit_3(tmp_path, corpus, capsys, monkeypatch):
     real_read_wav = data.read_wav
 
