@@ -1,6 +1,6 @@
 """Convolution-free transformer audio captioning toolkit, desk scale."""
 
-from .autodiff import Tensor, backward, finite_diff_check, no_grad
+from .autodiff import Tensor, backward, no_grad
 from .model import CaptionerModel, DecoderConfig, EncoderConfig
 from .optim import Adam, AdamState, adam_step
 from .text import Vocabulary, build_vocabulary, decode, encode, tokenize_caption
@@ -10,6 +10,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam", "AdamState", "CaptionerModel", "DecoderConfig", "EncoderConfig",
     "Tensor", "Vocabulary", "adam_step", "backward", "build_vocabulary",
-    "decode", "encode", "finite_diff_check", "no_grad", "tokenize_caption",
+    "decode", "encode", "no_grad", "tokenize_caption",
     "__version__",
 ]

@@ -203,10 +203,16 @@ def transpose(a, axes=None) -> Tensor:
 
 def getitem(a, idx) -> Tensor:
     a = _as_tensor(a)
+    # a basic index (ints and slices) selects each element at most once
+    basic = all(isinstance(i, (int, slice))
+                for i in (idx if isinstance(idx, tuple) else (idx,)))
 
     def backward(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        if basic:
+            ga[idx] = g
+        else:
+            np.add.at(ga, idx, g)
         return (ga,)
 
     return _make(a.data[idx], (a,), backward)
@@ -229,7 +235,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a.shape),)
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -429,36 +435,3 @@ def backward(loss: Tensor) -> None:
             # never in place: an op may hand the same array to several parents
             flowing[id(parent)] = pg if acc is None else acc + pg
 
-
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float) -> float:
-    """Max relative error between f's analytic gradient at x and central
-    finite differences with step h. Probes x.data in place and restores it."""
-    if h <= 0:
-        raise NumericError(f"finite-difference step must be positive, got {h}")
-    if not x.requires_grad:
-        raise ValueError("finite_diff_check needs a tensor with requires_grad")
-
-    x.zero_grad()
-    loss = f(x)
-    backward(loss)
-    analytic = x.grad.copy()
-    if not np.all(np.isfinite(analytic)):
-        raise NumericError("non-finite analytic gradient")
-
-    worst = 0.0
-    flat = x.data.reshape(-1)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = float(f(x).data)
-            flat[i] = orig - h
-            lo = float(f(x).data)
-            flat[i] = orig
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise NumericError("non-finite loss during finite differences")
-            central = (hi - lo) / (2.0 * h)
-            a = analytic.reshape(-1)[i]
-            err = abs(a - central) / max(1e-12, abs(a) + abs(central))
-            worst = max(worst, err)
-    return worst

@@ -166,8 +166,8 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
 def train_epoch(examples: Sequence, batch_loss: BatchLoss, cfg: TrainConfig,
                 optimizer: Adam, epoch: int) -> EpochStats:
     """One pass over the dataset: one Adam step per batch at lr_at_epoch on
-    `batch_loss(batch, rng)`. A non-finite batch loss stops training with a
-    NumericError before it reaches the parameters."""
+    `batch_loss(batch, rng)`. A non-finite batch loss or gradient stops
+    training with a NumericError before it reaches the parameters."""
     if not examples:
         raise ValueError("empty training dataset")
     lr = lr_at_epoch(epoch, cfg)
@@ -181,6 +181,8 @@ def train_epoch(examples: Sequence, batch_loss: BatchLoss, cfg: TrainConfig,
         if not math.isfinite(value):
             raise NumericError(f"non-finite loss {value} at epoch {epoch}, batch {bi + 1}")
         ad.backward(loss)
+        if not all(np.isfinite(p.grad).all() for p in optimizer.params):
+            raise NumericError(f"non-finite gradient at epoch {epoch}, batch {bi + 1}")
         optimizer.step(lr)
         losses.append(value)
     return EpochStats(epoch=epoch, lr=lr, mean_loss=float(np.mean(losses)))

@@ -267,9 +267,15 @@ def tagging_corpus(tmp_path_factory):
 # encoder. The pretrained encoder must instead close at least half of the
 # gap between scratch and the reference; without the copied encoder state
 # the init run equals scratch and fails.
-def test_criterion_6_transfer_path(tagging_corpus):
+#
+# The scratch run is criterion 5's overfit run: both build
+# desk_model(len(vocab), 3, seed=0) and train it with DESK_OVERFIT, and
+# lr_at_epoch ignores cfg.epochs, so scratch's epochs to the threshold are
+# read from that run's 200-epoch history.
+def test_criterion_6_transfer_path(tagging_corpus, overfit_run):
     tags, train_clips, held_clips = tagging_corpus
     seed = 0
+    assert len(tags) == 3, f"tagging corpus gives {len(tags)} tags, the scratch run has 3"
 
     model = desk_model(4, len(tags), seed)
     pre_cfg = TrainConfig(epochs=50, batch_size=2, base_lr=2e-4,
@@ -305,7 +311,10 @@ def test_criterion_6_transfer_path(tagging_corpus):
         assert r.final_loss < 0.1, "run never reached the criterion-5 threshold"
         return r.history[-1].epoch
 
-    scratch_epochs = epochs_to_threshold(desk_model(len(vocab), len(tags), seed))
+    overfit_history = overfit_run[4].history
+    scratch_epochs = next((s.epoch for s in overfit_history if s.mean_loss < 0.1), None)
+    assert scratch_epochs is not None, \
+        f"scratch run never reached the criterion-5 threshold in {len(overfit_history)} epochs"
     init_epochs = epochs_to_threshold(desk_model(len(vocab), len(tags), seed),
                                       encoder_state)
     dec_cfg = DecoderConfig(vocab_size=len(vocab), dropout=0.0)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from audiocap import autodiff as ad
 from audiocap.autodiff import NumericError, Tensor
+from finite_diff import finite_diff_check
 
 
 def rand(shape, seed=0):
@@ -180,13 +181,13 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
     expected = ad.softmax(Tensor(z.data), axis=0).data.copy()
     expected[target] -= 1.0
     np.testing.assert_allclose(z.grad, expected, atol=1e-12)
-    assert ad.finite_diff_check(ce, Tensor(z.data, requires_grad=True), 1e-4) < 1e-5
+    assert finite_diff_check(ce, Tensor(z.data, requires_grad=True), 1e-4) < 1e-5
 
 
 def test_matmul_product_gradient_matches_finite_differences():
     b = Tensor(rand((4, 2), seed=5))
     a = Tensor(rand((3, 4), seed=6), requires_grad=True)
-    err = ad.finite_diff_check(lambda t: ad.sum_(ad.matmul(t, b)), a, 1e-4)
+    err = finite_diff_check(lambda t: ad.sum_(ad.matmul(t, b)), a, 1e-4)
     assert err < 1e-5
 
 
@@ -233,14 +234,14 @@ def test_repeated_forward_is_bit_identical():
 
 def test_finite_diff_quadratic():
     x = Tensor(rand((6,), seed=7), requires_grad=True)
-    err = ad.finite_diff_check(lambda t: ad.mul(ad.sum_(ad.mul(t, t)), 0.5), x, 1e-4)
+    err = finite_diff_check(lambda t: ad.mul(ad.sum_(ad.mul(t, t)), 0.5), x, 1e-4)
     assert err < 1e-7
 
 
 def test_finite_diff_zero_step_rejected():
     x = Tensor(rand((2,)), requires_grad=True)
     with pytest.raises(NumericError):
-        ad.finite_diff_check(lambda t: ad.sum_(t), x, 0.0)
+        finite_diff_check(lambda t: ad.sum_(t), x, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,7 @@ def test_primitive_gradients(name):
     shape, f = FD_CASES[name]
     for seed in (0, 7):
         x = Tensor(rand(shape, seed=seed), requires_grad=True)
-        assert ad.finite_diff_check(f, x, 1e-4) < 1e-4, name
+        assert finite_diff_check(f, x, 1e-4) < 1e-4, name
 
 
 def test_layer_norm_gamma_beta_gradients():
@@ -304,8 +305,8 @@ def test_layer_norm_gamma_beta_gradients():
     beta = Tensor(rand((6,), 2), requires_grad=True)
     fg = lambda t: ad.sum_(ad.mul(ad.layer_norm(x, t, beta, 1e-5), probe))
     fb = lambda t: ad.sum_(ad.mul(ad.layer_norm(x, gamma, t, 1e-5), probe))
-    assert ad.finite_diff_check(fg, gamma, 1e-4) < 1e-4
-    assert ad.finite_diff_check(fb, beta, 1e-4) < 1e-4
+    assert finite_diff_check(fg, gamma, 1e-4) < 1e-4
+    assert finite_diff_check(fb, beta, 1e-4) < 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,25 @@ def test_nan_input_stops_training_with_exit_3(tmp_path, corpus, capsys, monkeypa
     assert not (run / "model.bin").exists()
 
 
+def test_nan_gradient_stops_training_with_exit_3(tmp_path, corpus, capsys, monkeypatch):
+    # a finite loss whose GELU backward yields NaN on the first batch
+    true_gelu = autodiff.gelu
+
+    def nan_gelu(a):
+        out = true_gelu(a)
+        if out._backward is not None:
+            out._backward = lambda g: (np.full_like(g, np.nan),)
+        return out
+
+    monkeypatch.setattr(autodiff, "gelu", nan_gelu)
+    run = tmp_path / "run"
+    code = main(["train", "--config", str(write_config(tmp_path)),
+                 "--manifest", str(corpus / "captions.jsonl"), "--out", str(run)])
+    assert code == 3
+    assert "non-finite gradient at epoch 1, batch 1" in capsys.readouterr().err
+    assert not (run / "model.bin").exists()
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 # ---------------------------------------------------------------------------

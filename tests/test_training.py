@@ -249,6 +249,25 @@ def test_non_finite_batch_loss_names_epoch_and_batch():
     assert optimizer.state.step == 1  # the non-finite batch took no step
 
 
+def test_non_finite_gradient_names_epoch_and_batch():
+    # the loss stays finite; the second batch's backward yields NaN
+    w = Tensor(np.ones(2), requires_grad=True)
+    poisoned = iter([False, True])
+    cfg = TrainConfig(epochs=3, batch_size=2, seed=0)
+    optimizer = Adam([w])
+
+    def batch_loss(batch, rng):
+        loss = ad.mul(ad.sum_(w), 1.0)
+        if next(poisoned):
+            good = loss._backward
+            loss._backward = lambda g: tuple(pg * np.nan for pg in good(g))
+        return loss
+
+    with pytest.raises(NumericError, match="non-finite gradient at epoch 3, batch 2"):
+        train_epoch([0, 1, 2, 3], batch_loss, cfg, optimizer, epoch=3)
+    assert optimizer.state.step == 1  # the non-finite gradient took no step
+    assert np.all(np.isfinite(w.data))
+
 def test_one_clip_memorization_desk_dims():
     # single clip, desk-scale model dims, loss driven under 0.1
     enc = EncoderConfig(d=128, heads=4, layers=2, ffn_dim=512, dropout=0.0,
