@@ -202,17 +202,16 @@ def transpose(a, axes=None) -> Tensor:
 
 
 def getitem(a, idx) -> Tensor:
+    """a[idx] for a basic index of ints and slices; gathers by an index
+    array go through `embedding`."""
     a = _as_tensor(a)
-    # a basic index (ints and slices) selects each element at most once
-    basic = all(isinstance(i, (int, slice))
-                for i in (idx if isinstance(idx, tuple) else (idx,)))
+    for i in idx if isinstance(idx, tuple) else (idx,):
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer, slice)):
+            raise TypeError(f"getitem takes ints and slices, got {idx!r}")
 
     def backward(g):
         ga = np.zeros_like(a.data)
-        if basic:
-            ga[idx] = g
-        else:
-            np.add.at(ga, idx, g)
+        ga[idx] = g  # a basic index selects each element at most once
         return (ga,)
 
     return _make(a.data[idx], (a,), backward)

@@ -17,8 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NumericError
 from .model import CaptionerModel, DecoderConfig, EncoderConfig
-from .text import EOS, PAD, SOS
-from .training import bce_with_logits, label_smoothed_ce
+from .text import EOS, SOS
+from .training import bce_with_logits, label_smoothed_ce, smoothed_targets
 
 DEFAULT_TOLERANCE = 1e-4
 CHUNK = 64  # scalars probed per forward pass
@@ -84,11 +84,7 @@ class Objective:
             logp = ad.log_softmax(logits).data
             pos = ad.logsigmoid(tag_logits).data
             neg = ad.logsigmoid(ad.neg(tag_logits)).data
-        k = logits.shape[-1]
-        q = np.full(self.targets.shape + (k,), self.smoothing / k)
-        np.put_along_axis(q, self.targets[..., None],
-                          1.0 - self.smoothing + self.smoothing / k, axis=-1)
-        valid = (self.targets != PAD).astype(np.float64)
+        q, valid = smoothed_targets(self.targets, logits.shape[-1], self.smoothing)
         ce = ((logp * q).sum(axis=-1) * valid).sum(axis=-1) * (-1.0 / valid.sum())
         bce = -(pos * self.labels + neg * (1.0 - self.labels)).mean(axis=-1)
         return ce + bce

@@ -60,6 +60,17 @@ def lr_at_epoch(epoch: int, cfg: TrainConfig) -> float:
     return cfg.base_lr * cfg.decay_factor ** ((epoch - 1) // cfg.decay_every)
 
 
+def smoothed_targets(targets: np.ndarray, k: int, smoothing: float,
+                     pad_id: int = PAD) -> tuple[np.ndarray, np.ndarray]:
+    """The smoothed target distribution q (..., k) of integer `targets` and
+    their non-pad mask (1.0 where the target is not pad_id)."""
+    q = np.full(targets.shape + (k,), smoothing / k)
+    np.put_along_axis(q, targets[..., None], 1.0 - smoothing + smoothing / k, axis=-1)
+    return q, (targets != pad_id).astype(np.float64)
+
+
+# gradcheck.Objective.row_losses repeats label_smoothed_ce and bce_with_logits
+# row by row in numpy, bit for bit; a change to either is made there too
 def label_smoothed_ce(logits: Tensor, targets: np.ndarray,
                       smoothing: float = 0.0, pad_id: int = PAD) -> Tensor:
     """Mean negative log-likelihood under smoothed targets.
@@ -76,13 +87,11 @@ def label_smoothed_ce(logits: Tensor, targets: np.ndarray,
         raise ValueError(f"targets shape {targets.shape} does not match logits {(b, t)}")
     if targets.min() < 0 or targets.max() >= k:
         raise ValueError("target id out of range for the vocabulary")
-    valid = (targets != pad_id).astype(np.float64)
+    q, valid = smoothed_targets(targets, k, smoothing, pad_id)
     n_valid = valid.sum()
     if n_valid == 0:
         raise ValueError("no non-pad target positions")
 
-    q = np.full((b, t, k), smoothing / k)
-    np.put_along_axis(q, targets[..., None], 1.0 - smoothing + smoothing / k, axis=-1)
     logp = ad.log_softmax(logits, axis=-1)
     per_pos = ad.sum_(ad.mul(logp, q), axis=-1)  # (B, T)
     masked = ad.mul(per_pos, valid)

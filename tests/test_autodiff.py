@@ -264,6 +264,8 @@ FD_CASES = {
     "transpose": ((2, 3, 4), lambda t: ad.sum_(ad.mul(
         ad.transpose(t, (2, 0, 1)), Tensor(rand((4, 2, 3), 1))))),
     "getitem": ((5, 3), lambda t: ad.sum_(t[1:4])),
+    "getitem_int": ((2, 3, 4), lambda t: ad.sum_(ad.mul(
+        t[:, 1], Tensor(rand((2, 4), 1))))),
     "concat": ((2, 3), lambda t: ad.sum_(ad.mul(
         ad.concat([t, t], axis=0), Tensor(rand((4, 3), 1))))),
     "sum_axis": ((3, 4), lambda t: ad.sum_(ad.mul(
@@ -331,6 +333,14 @@ def test_embedding_out_of_range_rejected():
     w = Tensor(rand((4, 2)))
     with pytest.raises(ValueError):
         ad.embedding(w, np.array([0, 4]))
+
+
+def test_getitem_rejects_index_arrays():
+    t = Tensor(rand((4, 2)))
+    for idx in (np.array([0, 0]), [1, 2], (slice(None), np.array([1])), True):
+        with pytest.raises(TypeError):
+            ad.getitem(t, idx)
+    assert ad.getitem(t, (np.int64(1), slice(None))).shape == (2,)
 
 
 def test_no_grad_blocks_recording():

@@ -268,6 +268,7 @@ def test_non_finite_gradient_names_epoch_and_batch():
     assert optimizer.state.step == 1  # the non-finite gradient took no step
     assert np.all(np.isfinite(w.data))
 
+
 def test_one_clip_memorization_desk_dims():
     # single clip, desk-scale model dims, loss driven under 0.1
     enc = EncoderConfig(d=128, heads=4, layers=2, ffn_dim=512, dropout=0.0,
