@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,11 +119,13 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(num_fft_bins: int, mel_bins: int, sample_rate: int,
                    window: int) -> np.ndarray:
     """Triangular, area-normalized filters spanning 0 Hz to Nyquist.
 
     Returns (mel_bins, num_fft_bins); centers linear on the mel scale.
+    Computed once per argument tuple; the shared array is read-only.
     """
     fft_freqs = np.arange(num_fft_bins) * sample_rate / window
     mel_points = np.linspace(0.0, hz_to_mel(sample_rate / 2.0), mel_bins + 2)
@@ -134,6 +137,7 @@ def mel_filterbank(num_fft_bins: int, mel_bins: int, sample_rate: int,
         down = (hi - fft_freqs) / (hi - center)
         fb[m] = np.maximum(0.0, np.minimum(up, down))
         fb[m] *= 2.0 / (hi - lo)  # constant filter area
+    fb.flags.writeable = False
     return fb
 
 
@@ -150,11 +154,8 @@ def compute_log_mel(w: Waveform, cfg: FrontendConfig) -> LogMelSpectrogram:
     window, hop = cfg.window, cfg.hop
     half = window // 2
     padded = np.concatenate([np.zeros(half), w.samples, np.zeros(half)])
-    n_frames = 1 + (len(padded) - window) // hop
-    starts = np.arange(n_frames) * hop
-    idx = starts[:, None] + np.arange(window)[None, :]
-    hann = np.hanning(window)
-    frames = padded[idx] * hann
+    windows = np.lib.stride_tricks.sliding_window_view(padded, window)[::hop]
+    frames = windows * np.hanning(window)
     magnitude = np.abs(np.fft.rfft(frames, axis=1))  # (T, window//2 + 1)
     fb = mel_filterbank(magnitude.shape[1], cfg.mel_bins, w.sample_rate, window)
     mel_energy = magnitude @ fb.T

@@ -9,17 +9,22 @@ so a checkpoint alone reproduces the preprocessing and decode setup.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .config import ValidationError
 from .model import CaptionerModel
 
 MAGIC = b"ACPK"
 FORMAT_VERSION = 1
 _DTYPE = "<f8"
+_ITEMSIZE = np.dtype(_DTYPE).itemsize
+_HEADER_KEYS = ("kind", "config", "vocab", "tags", "tensors")
+_ENTRY_KEYS = ("name", "shape", "dtype", "offset")
 
 
 @dataclass
@@ -73,27 +78,55 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
             f.write(blob)
 
 
+def _tensor_entry(path, entry, body_size: int) -> tuple[str, tuple[int, ...], int]:
+    """(name, shape, offset) of a header tensor entry that fits the body."""
+    if not isinstance(entry, dict) or any(k not in entry for k in _ENTRY_KEYS):
+        raise ValidationError(f"{path}: tensor entry lacks one of {list(_ENTRY_KEYS)}")
+    name, shape, start = entry["name"], entry["shape"], entry["offset"]
+    if entry["dtype"] != _DTYPE:
+        raise ValidationError(
+            f"{path}: tensor {name!r} has dtype {entry['dtype']!r}, expected {_DTYPE!r}")
+    if not (isinstance(shape, list) and all(isinstance(n, int) and n >= 0 for n in shape)
+            and isinstance(start, int) and start >= 0):
+        raise ValidationError(f"{path}: tensor {name!r} has a bad shape or offset")
+    if start + _ITEMSIZE * math.prod(shape) > body_size:
+        raise ValidationError(
+            f"{path}: tensor {name!r} (shape {shape} at offset {start}) runs past "
+            f"the {body_size}-byte body")
+    return name, tuple(shape), start
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint, checking the header against the file. Tensors are
+    read-only views of the file's bytes, so consumers copy what they keep."""
     raw = Path(path).read_bytes()
+    if len(raw) < 16:
+        raise ValidationError(f"{path}: truncated checkpoint ({len(raw)} bytes)")
     if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    version = struct.unpack("<I", raw[4:8])[0]
+        raise ValidationError(f"{path}: not a checkpoint file (bad magic)")
+    version, header_len = struct.unpack_from("<IQ", raw, 4)
     if version > FORMAT_VERSION:
-        raise ValueError(
+        raise ValidationError(
             f"{path}: checkpoint format version {version} is newer than the "
             f"supported version {FORMAT_VERSION}")
-    header_len = struct.unpack("<Q", raw[8:16])[0]
-    header = json.loads(raw[16:16 + header_len].decode("utf-8"))
-    body = raw[16 + header_len:]
+    if 16 + header_len > len(raw):
+        raise ValidationError(
+            f"{path}: truncated checkpoint (header of {header_len} bytes runs "
+            f"past the end of the file)")
+    try:
+        header = json.loads(raw[16:16 + header_len].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or JSON
+        raise ValidationError(f"{path}: unreadable checkpoint header ({exc})") from None
+    if (not isinstance(header, dict) or any(k not in header for k in _HEADER_KEYS)
+            or not isinstance(header["tensors"], list)):
+        raise ValidationError(f"{path}: checkpoint header lacks one of {list(_HEADER_KEYS)}")
+    body = memoryview(raw)[16 + header_len:]
     tensors: dict[str, np.ndarray] = {}
     optimizer: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(body, dtype=entry["dtype"], count=count,
-                            offset=start).reshape(shape).copy()
-        name = entry["name"]
+        name, shape, start = _tensor_entry(path, entry, len(body))
+        arr = np.frombuffer(body, dtype=_DTYPE, count=math.prod(shape),
+                            offset=start).reshape(shape)
         if name.startswith("opt."):
             optimizer[name[4:]] = arr
         else:

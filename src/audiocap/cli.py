@@ -201,9 +201,14 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
                    if any(p is q for q in optimizer.params)]
     if resume_ckpt is not None:
         load_model_state(model, resume_ckpt.tensors)
+        moments = resume_ckpt.optimizer
+        missing = [key for name in param_names for key in (f"m.{name}", f"v.{name}")
+                   if key not in moments]
+        if missing:
+            raise ValidationError(f"{latest}: optimizer state lacks {missing}")
         for i, name in enumerate(param_names):
-            optimizer.state.m[i][...] = resume_ckpt.optimizer[f"m.{name}"]
-            optimizer.state.v[i][...] = resume_ckpt.optimizer[f"v.{name}"]
+            optimizer.state.m[i][...] = moments[f"m.{name}"]
+            optimizer.state.v[i][...] = moments[f"v.{name}"]
         optimizer.state.step = resume_ckpt.optimizer_step
 
     log = _metrics_logger(out_dir / "metrics.jsonl")
@@ -316,6 +321,10 @@ def cmd_eval(args) -> int:
 
     report = evaluate_captions(candidates, references, spice_score=args.spice,
                                bleu_smoothing=args.smoothing)
+    uncovered = report.metadata.get("uncovered_references")
+    if uncovered:
+        print(f"warning: {len(uncovered)} reference clip(s) have no candidate and "
+              f"are not scored: {', '.join(uncovered)}", file=sys.stderr)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.txt").write_text(report.to_key_value_text(), encoding="utf-8")

@@ -3,7 +3,8 @@
 Each step decodes the newest token of every live hypothesis as one batch
 through `CaptionerModel.decode_step`, which reuses cached attention keys and
 values instead of re-running the decoder on whole prefixes. Greedy decoding
-is the beam_size=1 case.
+is the beam_size=1 case. The search stops as soon as its answer is fixed
+(see `beam_search_decode`).
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ def beam_search_decode(model: CaptionerModel, memory, beam_size: int,
     the best-scoring hypothesis among the completed pool and the survivors
     still live at max_len (so a wide beam reduces to exhaustive search),
     plus the ranked hypothesis list when return_topk is set.
+
+    Early stop: a step's log-probabilities are <= 0, so without length_norm
+    a live score can only fall. Once the best completed score is strictly
+    above every live score the answer is fixed, and the search ends there.
+    A tie must go on: an exactly-zero step would keep the live score level,
+    and the token tie-break could then rank the live hypothesis first. With
+    return_topk (whose pool the early stop would shrink) or length_norm (where
+    a longer hypothesis can rise), every step up to max_len runs.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
@@ -65,6 +74,8 @@ def beam_search_decode(model: CaptionerModel, memory, beam_size: int,
     live = [BeamHypothesis(tokens=[], log_prob=0.0, finished=False)]
     last_ids = [SOS]
     completed: list[BeamHypothesis] = []
+    best_completed = -np.inf
+    stop_early = not (return_topk or length_norm)
     for _ in range(max_len):
         logp = ad.log_softmax(model.decode_step(last_ids, cache), axis=-1).data
         scores = (np.array([h.log_prob for h in live])[:, None]
@@ -85,11 +96,13 @@ def beam_search_decode(model: CaptionerModel, memory, beam_size: int,
             hyp = BeamHypothesis(tokens=tokens, log_prob=score, finished=tokens[-1] == EOS)
             if hyp.finished:
                 completed.append(hyp)
+                best_completed = max(best_completed, score)
             else:
                 next_live.append(hyp)
                 rows.append(parent)
         live = next_live
-        if not live:
+        # live is ranked best first
+        if not live or (stop_early and best_completed > live[0].log_prob):
             break
         cache.reorder(rows)
         last_ids = [hyp.tokens[-1] for hyp in live]

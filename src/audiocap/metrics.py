@@ -228,6 +228,8 @@ class MetricReport:
         for key in self.unavailable:
             lines.append(f"{key}={UNAVAILABLE}")
         for key, value in sorted(self.metadata.items()):
+            if isinstance(value, list):
+                value = ",".join(value)
             lines.append(f"meta.{key}={value}")
         return "\n".join(lines) + "\n"
 
@@ -246,7 +248,9 @@ def evaluate_captions(candidates: dict[str, list[str]],
                       spice_score: float | None = None,
                       bleu_smoothing: bool = False,
                       max_bleu_order: int = 4) -> MetricReport:
-    """Score candidates against references keyed by clip id."""
+    """Score candidates against references keyed by clip id. Reference
+    clips without a candidate are not scored; they are listed, sorted, in
+    metadata["uncovered_references"]."""
     missing = sorted(set(candidates) - set(references))
     if missing:
         raise ValueError(f"candidate clip ids missing from references: {missing}")
@@ -282,5 +286,8 @@ def evaluate_captions(candidates: dict[str, list[str]],
         "cider_sigma": 6.0,
         "cider_degenerate_idf": cider_res.degenerate_idf,
     }
+    uncovered = sorted(set(references) - set(candidates))
+    if uncovered:  # absent at full coverage, so such reports keep their bytes
+        metadata["uncovered_references"] = uncovered
     return MetricReport(corpus_scores=corpus, per_clip_scores=per_clip,
                         metadata=metadata, unavailable=unavailable)

@@ -6,6 +6,7 @@ from audiocap.audio import (CLIP_SAMPLES, SAMPLE_RATE, FrontendConfig,
                             compute_log_mel, hz_to_mel, mel_filterbank,
                             mel_to_hz, patchify, prepare_waveform, read_wav,
                             spec_augment, unpatchify, write_wav)
+from logmel_reference import reference_log_mel
 
 
 @pytest.fixture
@@ -108,6 +109,29 @@ def test_mel_filterbank_shape_and_support(cfg):
     assert fb.shape == (64, 513)
     assert np.all(fb >= 0)
     assert np.all(fb.sum(axis=1) > 0)  # every filter covers some fft bin
+
+
+@pytest.mark.parametrize("name,samples", [
+    ("tone", tone(1000.0)),
+    ("noise", np.random.default_rng(5).uniform(-1, 1, CLIP_SAMPLES)),
+    # 1000 frames' worth of hops plus 77 samples: not a multiple of hop
+    ("ragged", np.random.default_rng(6).normal(0, 0.3, 512 * 1000 + 77)),
+])
+def test_strided_framing_is_byte_equal_to_index_gather(cfg, name, samples):
+    w = Waveform(samples=samples)
+    spec = compute_log_mel(w, cfg)
+    expected = reference_log_mel(w, cfg)
+    assert spec.frames.shape == expected.shape
+    assert spec.frames.tobytes() == expected.tobytes()
+
+
+def test_mel_filterbank_is_cached_and_read_only():
+    fb = mel_filterbank(513, 64, SAMPLE_RATE, 1024)
+    assert mel_filterbank(513, 64, SAMPLE_RATE, 1024) is fb
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
+    np.testing.assert_array_equal(
+        fb, mel_filterbank.__wrapped__(513, 64, SAMPLE_RATE, 1024))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from audiocap.checkpoint import (FORMAT_VERSION, MAGIC, Checkpoint,
                                  load_checkpoint, load_model_state,
                                  model_state, save_checkpoint)
+from audiocap.config import ValidationError
 from audiocap.model import CaptionerModel, DecoderConfig, EncoderConfig
 
 
@@ -110,3 +112,66 @@ def test_save_is_deterministic(tmp_path):
     save_checkpoint(a, ckpt)
     save_checkpoint(b, ckpt)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_loaded_tensors_are_read_only(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, Checkpoint(kind="caption", config={}, vocab=None, tags=None,
+                                     tensors={"w": np.ones((2, 3))},
+                                     optimizer={"m.w": np.zeros((2, 3))}))
+    loaded = load_checkpoint(path)
+    for arr in (loaded.tensors["w"], loaded.optimizer["m.w"]):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 5.0
+
+
+def write_raw(path, header: dict, body: bytes = b"") -> None:
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", FORMAT_VERSION)
+                     + struct.pack("<Q", len(blob)) + blob + body)
+
+
+def header(**entry):
+    return {"kind": "caption", "config": {}, "vocab": None, "tags": None,
+            "tensors": [dict({"name": "w", "shape": [2], "dtype": "<f8",
+                              "offset": 0}, **entry)]}
+
+
+@pytest.mark.parametrize("case,match", [
+    ("short", "truncated"),
+    ("header_past_end", "header of"),
+    ("missing_keys", "lacks"),
+    ("entry_missing_keys", "lacks"),
+    ("dtype", "dtype"),
+    ("offset_past_body", "runs past"),
+    ("shape_past_body", "runs past"),
+])
+def test_malformed_checkpoint_raises_validation_error(tmp_path, case, match):
+    path = tmp_path / "model.bin"
+    body = np.arange(2.0).tobytes()
+    if case == "short":
+        path.write_bytes(MAGIC + struct.pack("<I", FORMAT_VERSION) + b"\x00\x00")
+    elif case == "header_past_end":
+        path.write_bytes(MAGIC + struct.pack("<I", FORMAT_VERSION)
+                         + struct.pack("<Q", 1000) + b"{}")
+    elif case == "missing_keys":
+        write_raw(path, {"kind": "caption", "tensors": []})
+    elif case == "entry_missing_keys":
+        bad = header()
+        del bad["tensors"][0]["offset"]
+        write_raw(path, bad, body)
+    elif case == "dtype":
+        write_raw(path, header(dtype="<f4"), body)
+    elif case == "offset_past_body":
+        write_raw(path, header(offset=8), body)
+    else:
+        write_raw(path, header(shape=[3]), body)
+    with pytest.raises(ValidationError, match=match):
+        load_checkpoint(path)
+
+
+def test_well_formed_raw_checkpoint_loads(tmp_path):
+    # the writer used by the malformed cases makes a loadable file unmodified
+    path = tmp_path / "model.bin"
+    write_raw(path, header(), np.arange(2.0).tobytes())
+    np.testing.assert_array_equal(load_checkpoint(path).tensors["w"], [0.0, 1.0])

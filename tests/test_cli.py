@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from audiocap import autodiff, data
-from audiocap.checkpoint import load_checkpoint
+from audiocap import autodiff, cli, data
+from audiocap.checkpoint import load_checkpoint, save_checkpoint
 from audiocap.cli import _load_config, build_parser, main
 from audiocap.config import (RunConfig, ValidationError, load_run_config,
                              run_config_from_dict)
@@ -230,6 +230,34 @@ def test_eval_rejects_duplicate_candidate_ids(tmp_path, corpus, capsys):
     assert not (tmp_path / "rep" / "report.json").exists()
 
 
+def test_eval_names_uncovered_references(tmp_path, corpus, capsys):
+    refs = corpus / "captions.jsonl"
+    rows = [json.loads(l) for l in refs.read_text().splitlines()]
+    covered, left_out = rows[:2], rows[2:]
+    caps = tmp_path / "caps.tsv"
+    caps.write_text("".join(f"{r['id']}\ta tone sounds\n" for r in covered))
+    assert main(["eval", "--candidates", str(caps), "--references", str(refs),
+                 "--out", str(tmp_path / "part")]) == 0
+    err = capsys.readouterr().err
+    ids = sorted(r["id"] for r in left_out)
+    assert all(i in err for i in ids) and "2 reference clip(s)" in err
+    report = json.loads((tmp_path / "part" / "report.json").read_text())
+    assert report["metadata"]["uncovered_references"] == ids
+    assert report["metadata"]["corpus_size"] == 2
+    text = (tmp_path / "part" / "report.txt").read_text()
+    assert f"meta.uncovered_references={','.join(ids)}\n" in text
+
+    # the scores are those of the covered clips alone
+    only_covered = tmp_path / "covered.jsonl"
+    only_covered.write_text("".join(json.dumps(r) + "\n" for r in covered))
+    assert main(["eval", "--candidates", str(caps), "--references", str(only_covered),
+                 "--out", str(tmp_path / "full")]) == 0
+    assert capsys.readouterr().err == ""
+    full = json.loads((tmp_path / "full" / "report.json").read_text())
+    assert full["corpus"] == report["corpus"]
+    assert "uncovered_references" not in full["metadata"]
+
+
 def test_eval_spice_supplied_enables_spider(tmp_path, corpus):
     refs = corpus / "captions.jsonl"
     caps = tmp_path / "caps.tsv"
@@ -315,6 +343,65 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, corpus):
         np.testing.assert_array_equal(arr, b.tensors[name], err_msg=name)
     for name, arr in a.optimizer.items():
         np.testing.assert_array_equal(arr, b.optimizer[name], err_msg=name)
+
+
+def test_resume_restores_optimizer_moments(tmp_path, corpus, capsys, monkeypatch):
+    cfg = write_config(tmp_path, {"train.epochs": 3, "train.checkpoint_every": 2})
+    full = tmp_path / "full"
+    assert main(["train", "--config", str(cfg),
+                 "--manifest", str(corpus / "captions.jsonl"),
+                 "--out", str(full)]) == 0
+    saved = load_checkpoint(full / "ckpt_epoch_0002.bin")
+
+    class Captured(Exception):
+        pass
+
+    def capture(model, provider, cfg, start_epoch, optimizer, on_epoch):
+        raise Captured(optimizer, model, start_epoch)
+
+    monkeypatch.setattr(cli, "train_captioner", capture)
+    resumed = tmp_path / "resumed"
+    resumed.mkdir()
+    shutil.copy(full / "ckpt_epoch_0002.bin", resumed)
+    with pytest.raises(Captured) as exc:
+        main(["train", "--manifest", str(corpus / "captions.jsonl"),
+              "--out", str(resumed), "--resume"])
+    optimizer, model, start_epoch = exc.value.args
+    assert start_epoch == 3 and optimizer.state.step == saved.optimizer_step
+    names = {id(p): n for n, p in model.named_parameters()}
+    for p, m, v in zip(optimizer.params, optimizer.state.m, optimizer.state.v):
+        name = names[id(p)]
+        np.testing.assert_array_equal(m, saved.optimizer[f"m.{name}"], err_msg=name)
+        np.testing.assert_array_equal(v, saved.optimizer[f"v.{name}"], err_msg=name)
+        assert m.flags.writeable and v.flags.writeable  # Adam updates in place
+
+    # a checkpoint without one of the moments is a validation error
+    dropped = f"v.{names[id(optimizer.params[0])]}"
+    del saved.optimizer[dropped]
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    save_checkpoint(broken / "ckpt_epoch_0002.bin", saved)
+    code = main(["train", "--manifest", str(corpus / "captions.jsonl"),
+                 "--out", str(broken), "--resume"])
+    assert code == 3
+    assert dropped in capsys.readouterr().err
+
+
+def test_caption_on_truncated_checkpoint_exits_3(tmp_path, corpus, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(write_config(tmp_path)),
+                 "--manifest", str(corpus / "captions.jsonl"),
+                 "--out", str(run)]) == 0
+    raw = (run / "model.bin").read_bytes()
+    header_end = 16 + int.from_bytes(raw[8:16], "little")
+    for cut in (0, 10, 17, header_end // 2, header_end + 100, len(raw) - 8):
+        path = tmp_path / f"cut{cut}.bin"
+        path.write_bytes(raw[:cut])
+        code = main(["caption", "--checkpoint", str(path),
+                     "--input", str(corpus / "clip0000.wav")])
+        assert code == 3, cut
+        err = capsys.readouterr().err
+        assert "truncated" in err or "runs past" in err, (cut, err)
 
 
 def test_resume_without_checkpoint_fails(tmp_path, corpus, capsys):

@@ -272,3 +272,105 @@ def test_length_norm_flag_changes_ranking_key_only():
                                 length_norm=True)
     assert plain[0] == normed[0] == SOS  # both well-formed
     assert plain[-1] == normed[-1] == EOS
+
+
+# ---------------------------------------------------------------------------
+# early stop
+# ---------------------------------------------------------------------------
+
+def count_decode_steps(model):
+    """Wrap model.decode_step on the instance; returns the call counter."""
+    calls = [0]
+    step = model.decode_step
+
+    def counted(last_ids, cache):
+        calls[0] += 1
+        return step(last_ids, cache)
+
+    model.decode_step = counted
+    return calls
+
+
+@pytest.mark.parametrize("vocab_size", [6, 8, 12])
+def test_early_stop_ids_equal_full_search(vocab_size):
+    # return_topk keeps the full search, so it is the oracle here
+    for seed in range(30):
+        model = toy_model(vocab_size=vocab_size, seed=seed)
+        memory = toy_memory(model, seed)
+        for beam_size in (1, 2, 3, 5):
+            full_ids, _ = beam_search_decode(model, memory, beam_size,
+                                             return_topk=True)
+            assert beam_search_decode(model, memory, beam_size) == full_ids
+
+
+def test_early_stop_calls_decode_step_fewer_times_than_max_len():
+    model = toy_model(seed=1)
+    memory = toy_memory(model, 1)
+    calls = count_decode_steps(model)
+    ids = beam_search_decode(model, memory, beam_size=5, max_len=22)
+    assert calls[0] < 22
+    assert len(ids) - 1 <= calls[0]  # every generated token took a step
+
+
+class _Cache:
+    def __init__(self):
+        self.prefixes = [[]]
+
+    def reorder(self, rows):
+        self.prefixes = [list(self.prefixes[r]) for r in rows]
+
+
+class ScriptedModel:
+    """Stub decoder whose next-token logits are a fixed function of the
+    prefix: `script` maps a prefix tuple to {token: logit}, and `default`
+    serves every other prefix. Tokens not named get -1000, so their exp
+    underflows and a lone named token has log-prob exactly 0."""
+
+    def __init__(self, vocab_size, script, default=None):
+        self.dec_cfg = DecoderConfig(vocab_size=vocab_size)
+        self.script = script
+        self.default = default or {}
+        self.calls = 0
+
+    def start_decoding(self, memory):
+        return _Cache()
+
+    def decode_step(self, last_ids, cache):
+        self.calls += 1
+        rows = []
+        for prefix, tok in zip(cache.prefixes, last_ids):
+            if tok != SOS:
+                prefix.append(tok)
+            row = np.full(self.dec_cfg.vocab_size, -1000.0)
+            for t, logit in self.script.get(tuple(prefix), self.default).items():
+                row[t] = logit
+            rows.append(row)
+        return ad.Tensor(np.stack(rows))
+
+
+def test_early_stop_continues_through_a_tie():
+    # step 1: <eos> and token 0 share log(1/2), so the best completed
+    # hypothesis ties the best live one; step 2 gives [0] an <eos> of
+    # log-prob exactly 0, and [0, <eos>] then ties [<eos>] and wins the
+    # token tie-break. Stopping at the tie would return [<eos>].
+    script = {(): {EOS: 0.0, 0: 0.0}, (0,): {EOS: 0.0}}
+    model = ScriptedModel(6, script)
+    full_ids, pool = beam_search_decode(model, None, 2, max_len=6, banned=(),
+                                        return_topk=True)
+    assert full_ids == [SOS, 0, EOS]
+    assert pool[0].log_prob == pool[1].log_prob  # [0, <eos>] ties [<eos>]
+    model.calls = 0
+    assert beam_search_decode(model, None, 2, max_len=6, banned=()) == full_ids
+    assert model.calls == 2
+
+
+@pytest.mark.parametrize("flags", [{"length_norm": True}, {"return_topk": True}])
+def test_length_norm_and_return_topk_run_the_full_search(flags):
+    # every prefix continues with token 4 or retires with <eos>, equally
+    # likely, so a live hypothesis survives every step
+    model = ScriptedModel(6, {}, default={EOS: 0.0, 4: 0.0})
+    beam_search_decode(model, None, 2, max_len=9)
+    assert model.calls == 2  # stops once [4, 4] falls below [<eos>]
+    model.calls = 0
+    beam_search_decode(model, None, 2, max_len=9, **flags)
+    assert model.calls == 9
