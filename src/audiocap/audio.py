@@ -12,6 +12,7 @@ import numpy as np
 SAMPLE_RATE = 32000
 CLIP_SECONDS = 10.0
 CLIP_SAMPLES = int(SAMPLE_RATE * CLIP_SECONDS)
+FFT_BLOCK = 64  # frames per rfft call in compute_log_mel
 
 
 @dataclass
@@ -155,8 +156,14 @@ def compute_log_mel(w: Waveform, cfg: FrontendConfig) -> LogMelSpectrogram:
     half = window // 2
     padded = np.concatenate([np.zeros(half), w.samples, np.zeros(half)])
     windows = np.lib.stride_tricks.sliding_window_view(padded, window)[::hop]
-    frames = windows * np.hanning(window)
-    magnitude = np.abs(np.fft.rfft(frames, axis=1))  # (T, window//2 + 1)
+    hann = np.hanning(window)
+    # FFT_BLOCK frames at a time keeps temporaries near 1 MB; whole-clip
+    # ones (13 MB for 10 s) can be returned to the OS after each clip and
+    # page-faulted in again for the next
+    magnitude = np.empty((windows.shape[0], window // 2 + 1))
+    for start in range(0, windows.shape[0], FFT_BLOCK):
+        block = slice(start, start + FFT_BLOCK)
+        np.abs(np.fft.rfft(windows[block] * hann, axis=1), out=magnitude[block])
     fb = mel_filterbank(magnitude.shape[1], cfg.mel_bins, w.sample_rate, window)
     mel_energy = magnitude @ fb.T
     logmel = np.log(np.maximum(cfg.log_floor, mel_energy))

@@ -202,12 +202,13 @@ def transpose(a, axes=None) -> Tensor:
 
 
 def getitem(a, idx) -> Tensor:
-    """a[idx] for a basic index of ints and slices; gathers by an index
-    array go through `embedding`."""
+    """a[idx] for a basic index of ints, slices and `...`; gathers by an
+    index array go through `embedding`."""
     a = _as_tensor(a)
     for i in idx if isinstance(idx, tuple) else (idx,):
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer, slice)):
-            raise TypeError(f"getitem takes ints and slices, got {idx!r}")
+        if isinstance(i, bool) or not (i is Ellipsis
+                                       or isinstance(i, (int, np.integer, slice))):
+            raise TypeError(f"getitem takes ints, slices and ..., got {idx!r}")
 
     def backward(g):
         ga = np.zeros_like(a.data)
@@ -346,11 +347,20 @@ def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 def embedding(weight, ids: np.ndarray) -> Tensor:
-    """Row lookup: weight (V, d), ids int array of any shape -> (*ids, d)."""
+    """Row lookup: weight (V, d), ids int array of any shape -> (*ids, d).
+    Under no_grad a stacked table (K, V, d) serves ids (K, ...): batch row k
+    reads table k."""
     weight = _as_tensor(weight)
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
+    if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[-2]):
         raise ValueError("embedding id out of range")
+    if weight.ndim == 3:
+        if _GRAD_ENABLED and weight.requires_grad:
+            raise ValueError("a stacked embedding table is looked up only under no_grad")
+        if ids.shape[:1] != weight.shape[:1]:
+            raise ValueError(f"ids {ids.shape} do not match stacked table {weight.shape}")
+        rows = np.arange(ids.shape[0]).reshape((-1,) + (1,) * (ids.ndim - 1))
+        return Tensor(weight.data[rows, ids])
 
     def backward(g):
         gw = np.zeros_like(weight.data)

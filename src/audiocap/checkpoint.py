@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +45,8 @@ def model_state(model: CaptionerModel) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
+    """Write `ckpt` to a temporary file beside `path`, then rename it over
+    `path`: a write that fails leaves any previous file whole."""
     entries = []
     offset = 0
     blobs = []
@@ -69,13 +72,20 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         "tensors": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<Q", len(header_bytes)))
-        f.write(header_bytes)
-        for blob in blobs:
-            f.write(blob)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", FORMAT_VERSION))
+            f.write(struct.pack("<Q", len(header_bytes)))
+            f.write(header_bytes)
+            for blob in blobs:
+                f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _tensor_entry(path, entry, body_size: int) -> tuple[str, tuple[int, ...], int]:

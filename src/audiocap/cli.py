@@ -213,12 +213,13 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
 
     log = _metrics_logger(out_dir / "metrics.jsonl")
 
-    def _save(path: Path, epoch: int | None) -> None:
+    def _save(path: Path, epoch: int | None, moments: bool) -> None:
+        # only the periodic checkpoints that --resume reads carry Adam moments
         save_checkpoint(path, Checkpoint(
             kind="caption", config=run_config_to_dict(cfg),
             vocab=vocab.id_to_word, tags=tags or None,
             tensors=model_state(model), epoch=epoch,
-            optimizer=_optimizer_blobs(optimizer, param_names),
+            optimizer=_optimizer_blobs(optimizer, param_names) if moments else {},
             optimizer_step=optimizer.state.step))
 
     def provider(epoch: int):
@@ -228,13 +229,13 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
         log(stats)
         every = cfg.train.checkpoint_every
         if every > 0 and stats.epoch % every == 0:
-            _save(out_dir / f"ckpt_epoch_{stats.epoch:04d}.bin", stats.epoch)
+            _save(out_dir / f"ckpt_epoch_{stats.epoch:04d}.bin", stats.epoch, True)
 
     if start_epoch > cfg.train.epochs:
         raise ValidationError("--resume: training already finished")
     result = train_captioner(model, provider, cfg.train, start_epoch=start_epoch,
                              optimizer=optimizer, on_epoch=on_epoch)
-    _save(out_dir / "model.bin", result.history[-1].epoch)
+    _save(out_dir / "model.bin", result.history[-1].epoch, False)
     save_vocabulary(vocab, out_dir / "vocab.txt")
     print(f"caption training done: final loss {result.final_loss:.4f}")
     print(f"checkpoint: {out_dir / 'model.bin'}")

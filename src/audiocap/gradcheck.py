@@ -2,8 +2,9 @@
 
 One forward and backward pass gives every analytic gradient. The numeric
 side probes up to CHUNK scalars of one parameter tensor per no-grad forward
-pass: the tensor is stacked on a new leading axis, `(k, in, out)` for a
-matmul weight and `(k, 1, d)` for a bias or norm gain/shift, with copy j
+pass: the tensor is stacked on a new leading axis, `(k, *shape)` for a
+matrix (a matmul weight, the class token, positions, word embeddings) and
+`(k, 1, size)` for a vector (a bias, a norm gain/shift), with copy j
 carrying the probe at scalar j. The clip and caption prefix are repeated k
 times, so batch row j sees copy j, and the k losses are read off the rows.
 """
@@ -21,11 +22,7 @@ from .text import EOS, SOS
 from .training import bce_with_logits, label_smoothed_ce, smoothed_targets
 
 DEFAULT_TOLERANCE = 1e-4
-CHUNK = 64  # scalars probed per forward pass
-# tensors a batch cannot carry stacked: the class token is reshaped to a
-# fixed shape, positions are sliced, word embeddings are looked up, and the
-# tag head reads a 2-D class-token row; they are probed one scalar at a time
-UNSTACKED = ("enc.cls", "enc.pos", "dec.word_embed", "tag_head.")
+CHUNK = 128  # scalars probed per forward pass
 
 
 @dataclass
@@ -117,22 +114,18 @@ def make_objective(seed=0, num_tags: int = 3, n_patches: int = 3,
     return Objective(model, patches, tokens, labels, smoothing)
 
 
-def _central_differences(objective: Objective, name: str, p: ad.Tensor,
+def _central_differences(objective: Objective, p: ad.Tensor,
                          h: float) -> np.ndarray:
     """(loss(theta + h e_i) - loss(theta - h e_i)) / 2h for every scalar i of
-    `p`, CHUNK scalars per forward pass (one for UNSTACKED tensors)."""
+    `p`, CHUNK scalars per forward pass."""
     orig = p.data
     flat = orig.reshape(-1)
-    chunk = 1 if name.startswith(UNSTACKED) else CHUNK
     central = np.empty(flat.size)
     try:
-        for start in range(0, flat.size, chunk):
-            idx = np.arange(start, min(start + chunk, flat.size))
+        for start in range(0, flat.size, CHUNK):
+            idx = np.arange(start, min(start + CHUNK, flat.size))
             k = idx.size
-            if chunk == 1:
-                shape = orig.shape
-            else:
-                shape = (k, *orig.shape) if orig.ndim == 2 else (k, 1, orig.size)
+            shape = (k, *orig.shape) if orig.ndim == 2 else (k, 1, orig.size)
             stacked = np.repeat(flat[None], k, axis=0)
             sides = []
             for step in (h, -h):
@@ -161,7 +154,7 @@ def check_objective(objective: Objective, h: float = 1e-4) -> GradCheckReport:
         analytic = p.grad.reshape(-1)
         if not np.all(np.isfinite(analytic)):
             raise NumericError("non-finite analytic gradient")
-        central = _central_differences(objective, name, p, h)
+        central = _central_differences(objective, p, h)
         err = np.abs(analytic - central) / np.maximum(
             1e-12, np.abs(analytic) + np.abs(central))
         per_param[name] = float(err.max())

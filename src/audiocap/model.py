@@ -349,7 +349,8 @@ class CaptionerModel:
     # ----- forward passes -----------------------------------------------
     def embed_patches(self, patches: np.ndarray) -> Tensor:
         """(B, N, patch_dim) -> (B, N+1, d): project, prepend class token,
-        add trainable positions."""
+        add trainable positions. A class token stacked to (B, 1, d) and
+        positions stacked to (B, P, d) give batch row k its own copy k."""
         patches = np.asarray(patches, dtype=np.float64)
         b, n, pd = patches.shape
         if pd != self.enc_cfg.patch_dim:
@@ -358,9 +359,9 @@ class CaptionerModel:
             raise ValueError(f"{n} patches exceed max_patches {self.enc_cfg.max_patches}")
         proj = self.patch_embed(Tensor(patches))  # (B, N, d)
         cls_rows = ad.add(Tensor(np.zeros((b, 1, self.enc_cfg.d))),
-                          ad.reshape(self.cls_token, (1, 1, self.enc_cfg.d)))
+                          ad.reshape(self.cls_token, (-1, 1, self.enc_cfg.d)))
         x = ad.concat([cls_rows, proj], axis=1)
-        return ad.add(x, self.pos_embed[: n + 1])
+        return ad.add(x, self.pos_embed[..., : n + 1, :])
 
     def encode(self, embedded: Tensor, train: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
@@ -410,8 +411,15 @@ class CaptionerModel:
         return self.decode(token_ids, self.encoder_memory(encoded), train, rng)
 
     def tagging_logits(self, encoded: Tensor) -> Tensor:
-        """Pre-sigmoid tag scores (B, K_tags) from the class-token row."""
-        return self.tag_head(encoded[:, 0, :])
+        """Pre-sigmoid tag scores (B, K_tags) from the class-token row. A tag
+        head stacked to (B, d, K_tags) and (B, 1, K_tags) gives batch row k
+        its own head k."""
+        head = self.tag_head
+        # training keeps the 2-D product: the 3-D route sums the weight
+        # gradient over the batch in another order, which changes its bytes
+        if head.w.ndim == 2 and head.b.ndim == 1:
+            return head(encoded[:, 0, :])
+        return ad.reshape(head(encoded[:, :1, :]), (encoded.shape[0], -1))
 
     def tagging_probabilities(self, encoded: Tensor) -> Tensor:
         return ad.sigmoid(self.tagging_logits(encoded))

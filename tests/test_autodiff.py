@@ -266,6 +266,8 @@ FD_CASES = {
     "getitem": ((5, 3), lambda t: ad.sum_(t[1:4])),
     "getitem_int": ((2, 3, 4), lambda t: ad.sum_(ad.mul(
         t[:, 1], Tensor(rand((2, 4), 1))))),
+    "getitem_ellipsis": ((2, 4, 3), lambda t: ad.sum_(ad.mul(
+        t[..., :2, :], Tensor(rand((2, 2, 3), 1))))),
     "concat": ((2, 3), lambda t: ad.sum_(ad.mul(
         ad.concat([t, t], axis=0), Tensor(rand((4, 3), 1))))),
     "sum_axis": ((3, 4), lambda t: ad.sum_(ad.mul(
@@ -335,12 +337,36 @@ def test_embedding_out_of_range_rejected():
         ad.embedding(w, np.array([0, 4]))
 
 
+def test_stacked_embedding_equals_separate_lookups():
+    tables = rand((3, 5, 4))
+    ids = np.array([[0, 4, 2], [3, 3, 1], [2, 0, 4]])
+    with ad.no_grad():
+        stacked = ad.embedding(Tensor(tables, requires_grad=True), ids).data
+        for k in range(3):
+            one = ad.embedding(Tensor(tables[k]), ids[k:k + 1]).data
+            assert stacked[k:k + 1].tobytes() == one.tobytes()
+    assert stacked.shape == (3, 3, 4)
+
+
+def test_stacked_embedding_rejects_misuse():
+    tables = Tensor(rand((2, 5, 4)), requires_grad=True)
+    with pytest.raises(ValueError, match="no_grad"):
+        ad.embedding(tables, np.zeros((2, 1), dtype=int))
+    with ad.no_grad():
+        with pytest.raises(ValueError, match="do not match"):
+            ad.embedding(tables, np.zeros((3, 1), dtype=int))
+        with pytest.raises(ValueError, match="out of range"):
+            ad.embedding(tables, np.full((2, 1), 5))
+
+
 def test_getitem_rejects_index_arrays():
     t = Tensor(rand((4, 2)))
-    for idx in (np.array([0, 0]), [1, 2], (slice(None), np.array([1])), True):
+    for idx in (np.array([0, 0]), [1, 2], (slice(None), np.array([1])), True,
+                (Ellipsis, np.array([1]))):
         with pytest.raises(TypeError):
             ad.getitem(t, idx)
     assert ad.getitem(t, (np.int64(1), slice(None))).shape == (2,)
+    assert ad.getitem(t, (Ellipsis, slice(None, 3), slice(None))).shape == (3, 2)
 
 
 def test_no_grad_blocks_recording():

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from audiocap import checkpoint
 from audiocap.checkpoint import (FORMAT_VERSION, MAGIC, Checkpoint,
                                  load_checkpoint, load_model_state,
                                  model_state, save_checkpoint)
@@ -112,6 +113,37 @@ def test_save_is_deterministic(tmp_path):
     save_checkpoint(a, ckpt)
     save_checkpoint(b, ckpt)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, Checkpoint(kind="caption", config={"run": 1}, vocab=None,
+                                     tags=None, tensors={"w": np.ones((2, 3))}))
+    before = path.read_bytes()
+
+    class DiskFull:  # the file fills up after the header
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 4:
+                raise OSError(28, "No space left on device")
+            return self.f.write(data)
+
+    monkeypatch.setattr(checkpoint, "open", lambda *a: DiskFull(open(*a)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, Checkpoint(kind="caption", config={"run": 2}, vocab=None,
+                                         tags=None, tensors={"w": np.zeros((2, 3))}))
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).config == {"run": 1}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
 
 
 def test_loaded_tensors_are_read_only(tmp_path):

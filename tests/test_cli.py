@@ -341,8 +341,26 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, corpus):
     assert a.epoch == b.epoch == 4
     for name, arr in a.tensors.items():
         np.testing.assert_array_equal(arr, b.tensors[name], err_msg=name)
+    # the final model.bin carries no moments; the epoch-4 checkpoint does
+    a = load_checkpoint(full / "ckpt_epoch_0004.bin")
+    b = load_checkpoint(resumed / "ckpt_epoch_0004.bin")
+    assert a.optimizer.keys() == b.optimizer.keys() and a.optimizer
     for name, arr in a.optimizer.items():
         np.testing.assert_array_equal(arr, b.optimizer[name], err_msg=name)
+
+
+def test_only_periodic_checkpoints_carry_optimizer_state(tmp_path, corpus):
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(write_config(tmp_path)),
+                 "--manifest", str(corpus / "captions.jsonl"),
+                 "--out", str(run)]) == 0
+    final = load_checkpoint(run / "model.bin")
+    periodic = load_checkpoint(run / "ckpt_epoch_0002.bin")
+    assert final.optimizer == {}  # load_checkpoint files every opt.* entry here
+    assert periodic.optimizer and set(periodic.optimizer) <= {
+        f"{m}.{name}" for name in final.tensors for m in "mv"}
+    for name, arr in final.tensors.items():
+        np.testing.assert_array_equal(arr, periodic.tensors[name], err_msg=name)
 
 
 def test_resume_restores_optimizer_moments(tmp_path, corpus, capsys, monkeypatch):

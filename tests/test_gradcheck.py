@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from audiocap import autodiff
-from audiocap.gradcheck import (CHUNK, DEFAULT_TOLERANCE, UNSTACKED,
-                                check_objective, make_objective)
+from audiocap.gradcheck import (CHUNK, DEFAULT_TOLERANCE, check_objective,
+                                make_objective)
 from audiocap.model import DecoderConfig, EncoderConfig
 from finite_diff import finite_diff_check
 from test_cli import GRADCHECK_CONFIG
 
-# encoder and decoder widths differ, so the model has a bridge; fc1's weight
-# (8 x 16) spans two chunks
-SMALL_ENC = EncoderConfig(d=8, heads=2, layers=1, ffn_dim=16, dropout=0.0,
+# encoder and decoder widths differ, so the model has a bridge; the encoder
+# FFN weights (8 x 24, 24 x 8) span two chunks, the second one partial
+SMALL_ENC = EncoderConfig(d=8, heads=2, layers=1, ffn_dim=24, dropout=0.0,
                           patch_dim=8, max_patches=3)
 SMALL_DEC = DecoderConfig(vocab_size=7, d=6, heads=2, layers=1, ffn_dim=12,
                           dropout=0.0)
@@ -29,29 +29,38 @@ def test_every_parameter_scalar_probed_once_per_side():
     model = objective.model
     originals = {name: p.data.copy() for name, p in model.named_parameters()}
     probes = Counter()
+    passes = Counter()
     row_losses = objective.row_losses
 
     def recording_row_losses(rows):
+        assert 1 <= rows <= CHUNK
         per_row = Counter()
+        stacked = []
         for name, p in model.named_parameters():
             shape = originals[name].shape
-            stacked = p.data.shape != shape
-            if stacked:  # (rows, in, out) for a matrix, (rows, 1, d) for a vector
-                assert not name.startswith(UNSTACKED) and rows <= CHUNK
-                want = (rows, *shape) if len(shape) == 2 else (rows, 1, *shape)
-                assert p.data.shape == want
+            if p.data.shape == shape:  # a tensor not probed in this pass
+                assert p.data.tobytes() == originals[name].tobytes()
+                continue
+            # (rows, *shape) for a matrix, (rows, 1, size) for a vector
+            want = (rows, *shape) if len(shape) == 2 else (rows, 1, *shape)
+            assert p.data.shape == want
+            stacked.append(name)
             orig = originals[name].reshape(-1)
-            data = p.data.reshape(rows if stacked else 1, -1)
+            data = p.data.reshape(rows, -1)
             for row, i in zip(*np.nonzero(data != orig)):
-                assert stacked or rows == 1
                 per_row[row] += 1
                 probes[name, int(i), bool(data[row, i] > orig[i])] += 1
+        assert len(stacked) == 1  # every tensor arrives stacked, one at a time
+        passes[stacked[0], rows] += 1
         assert sorted(per_row) == list(range(rows))  # one probe in every row
         assert set(per_row.values()) == {1}
         return row_losses(rows)
 
     objective.row_losses = recording_row_losses
     check_objective(objective)
+    # full chunks and a partial last chunk of one tensor both occur
+    assert passes["enc.layer0.ffn.fc1.w", CHUNK] == 2
+    assert passes["enc.layer0.ffn.fc1.w", 8 * 24 - CHUNK] == 2
     assert set(probes.values()) == {1}
     assert len(probes) == 2 * model.param_count()
     assert len({(name, i) for name, i, _ in probes}) == model.param_count()
@@ -60,7 +69,9 @@ def test_every_parameter_scalar_probed_once_per_side():
 
 
 @pytest.mark.parametrize("name", ["enc.layer0.attn.wq.w", "dec.layer0.ffn.fc1.b",
-                                  "dec.layer0.ln2.gamma", "bridge.w"])
+                                  "dec.layer0.ln2.gamma", "bridge.w", "enc.cls",
+                                  "enc.pos", "dec.word_embed", "tag_head.w",
+                                  "tag_head.b"])
 def test_row_losses_equal_loss_bit_for_bit(name):
     objective = small_objective()
     loss = objective.loss().data
@@ -103,7 +114,7 @@ def test_corrupted_bias_gradient_fails_stacked_tensors(monkeypatch):
     assert "dec.layer0.ffn.fc1.b" in biases and "tag_head.b" in biases
 
 
-def test_corrupted_embedding_gradient_fails_unstacked_tensor(monkeypatch):
+def test_corrupted_embedding_gradient_fails_word_embed(monkeypatch):
     true_embedding = autodiff.embedding
 
     def broken_embedding(weight, ids):
