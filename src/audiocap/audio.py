@@ -76,7 +76,8 @@ def prepare_waveform(samples: np.ndarray, sample_rate: int) -> Waveform:
     if sample_rate != SAMPLE_RATE:
         if sample_rate <= 0:
             raise ValueError(f"bad sample rate {sample_rate}")
-        n_out = int(round(len(samples) * SAMPLE_RATE / sample_rate))
+        # only the first CLIP_SAMPLES output samples are kept
+        n_out = min(CLIP_SAMPLES, int(round(len(samples) * SAMPLE_RATE / sample_rate)))
         if n_out > 0:
             src_t = np.arange(len(samples)) / sample_rate
             dst_t = np.arange(n_out) / SAMPLE_RATE
@@ -92,14 +93,19 @@ def prepare_waveform(samples: np.ndarray, sample_rate: int) -> Waveform:
 
 def read_wav(path: str | Path) -> Waveform:
     """Read 16-bit PCM mono RIFF, resampled/padded to the canonical clip."""
-    with wave.open(str(path), "rb") as wf:
-        if wf.getnchannels() != 1:
-            raise ValueError(f"{path}: only mono WAV is supported")
-        if wf.getsampwidth() != 2:
-            raise ValueError(f"{path}: only 16-bit PCM WAV is supported")
-        rate = wf.getframerate()
-        raw = wf.readframes(wf.getnframes())
-    pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    try:
+        with wave.open(str(path), "rb") as wf:
+            if wf.getnchannels() != 1:
+                raise ValueError(f"{path}: only mono WAV is supported")
+            if wf.getsampwidth() != 2:
+                raise ValueError(f"{path}: only 16-bit PCM WAV is supported")
+            rate = wf.getframerate()
+            raw = wf.readframes(wf.getnframes())
+    except (EOFError, RuntimeError, wave.Error) as exc:  # RuntimeError: a chunk overruns
+        raise ValueError(f"{path}: not a readable WAV file "
+                         f"({str(exc) or 'truncated or inconsistent chunks'})") from None
+    # a data chunk cut off mid-sample keeps its whole samples
+    pcm = np.frombuffer(raw[: len(raw) // 2 * 2], dtype="<i2").astype(np.float64) / 32768.0
     return prepare_waveform(pcm, rate)
 
 
@@ -183,11 +189,6 @@ def patchify(spec: LogMelSpectrogram, frames_per_patch: int) -> PatchSequence:
     usable = spec.frames[: n * t]
     patches = usable.reshape(n, t * spec.mel_bins)
     return PatchSequence(patches=patches, frames_per_patch=t)
-
-
-def unpatchify(p: PatchSequence, mel_bins: int) -> np.ndarray:
-    """Inverse of patchify on the truncated spectrogram (exact)."""
-    return p.patches.reshape(p.num_patches * p.frames_per_patch, mel_bins)
 
 
 def spec_augment(spec: LogMelSpectrogram, policy: SpecAugmentPolicy,

@@ -88,6 +88,17 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         raise
 
 
+def _words(value) -> bool:
+    """None or a list of strings: a vocabulary or tag list."""
+    return value is None or (isinstance(value, list)
+                             and all(isinstance(v, str) for v in value))
+
+
+def _count(value) -> bool:
+    """None or an integer: an epoch or step count."""
+    return value is None or (isinstance(value, int) and not isinstance(value, bool))
+
+
 def _tensor_entry(path, entry, body_size: int) -> tuple[str, tuple[int, ...], int]:
     """(name, shape, offset) of a header tensor entry that fits the body."""
     if not isinstance(entry, dict) or any(k not in entry for k in _ENTRY_KEYS):
@@ -96,9 +107,10 @@ def _tensor_entry(path, entry, body_size: int) -> tuple[str, tuple[int, ...], in
     if entry["dtype"] != _DTYPE:
         raise ValidationError(
             f"{path}: tensor {name!r} has dtype {entry['dtype']!r}, expected {_DTYPE!r}")
-    if not (isinstance(shape, list) and all(isinstance(n, int) and n >= 0 for n in shape)
+    if not (isinstance(name, str) and isinstance(shape, list)
+            and all(isinstance(n, int) and n >= 0 for n in shape)
             and isinstance(start, int) and start >= 0):
-        raise ValidationError(f"{path}: tensor {name!r} has a bad shape or offset")
+        raise ValidationError(f"{path}: tensor {name!r} has a bad name, shape or offset")
     if start + _ITEMSIZE * math.prod(shape) > body_size:
         raise ValidationError(
             f"{path}: tensor {name!r} (shape {shape} at offset {start}) runs past "
@@ -130,6 +142,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if (not isinstance(header, dict) or any(k not in header for k in _HEADER_KEYS)
             or not isinstance(header["tensors"], list)):
         raise ValidationError(f"{path}: checkpoint header lacks one of {list(_HEADER_KEYS)}")
+    if not (isinstance(header["kind"], str) and isinstance(header["config"], dict)
+            and all(_words(header[k]) for k in ("vocab", "tags"))
+            and _count(header.get("epoch")) and _count(header.get("optimizer_step"))):
+        raise ValidationError(f"{path}: checkpoint header has a field of the wrong type")
     body = memoryview(raw)[16 + header_len:]
     tensors: dict[str, np.ndarray] = {}
     optimizer: dict[str, np.ndarray] = {}
@@ -144,7 +160,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(
         kind=header["kind"], config=header["config"], vocab=header["vocab"],
         tags=header["tags"], tensors=tensors, epoch=header.get("epoch"),
-        optimizer=optimizer, optimizer_step=header.get("optimizer_step", 0))
+        optimizer=optimizer, optimizer_step=header.get("optimizer_step") or 0)
 
 
 def load_model_state(model: CaptionerModel, tensors: dict[str, np.ndarray],

@@ -8,6 +8,7 @@ Every command is reproducible: config + seed + inputs determine outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,13 +23,13 @@ from .checkpoint import (Checkpoint, load_checkpoint, load_model_state,
                          model_state, save_checkpoint)
 from .config import (RunConfig, ValidationError, load_run_config,
                      run_config_from_dict, run_config_to_dict)
-from .data import (ManifestRecord, caption_examples, load_caption_clips,
-                   load_manifest, load_tagging_clips, record_logmel,
-                   tag_name_list, tagging_examples, write_manifest)
+from .data import (ManifestRecord, load_caption_clips, load_manifest,
+                   load_tagging_clips, record_logmel, tag_name_list,
+                   training_examples, write_manifest)
 from .decoding import beam_search_decode
-from .gradcheck import DEFAULT_TOLERANCE, model_gradient_check, tiny_configs
+from .gradcheck import model_gradient_check, tiny_configs
 from .metrics import evaluate_captions
-from .model import CaptionerModel, DecoderConfig
+from .model import CaptionerModel
 from .optim import Adam
 from .synth import make_corpus
 from .text import (Vocabulary, build_vocabulary, decode as decode_tokens,
@@ -83,22 +84,17 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _metrics_logger(path: Path):
-    start = time.monotonic()
-
-    def log(stats: EpochStats) -> None:
-        with open(path, "a", encoding="utf-8") as f:
-            f.write(json.dumps({
-                "epoch": stats.epoch, "lr": stats.lr, "loss": stats.mean_loss,
-                "wall_time": round(time.monotonic() - start, 3),
-            }, sort_keys=True) + "\n")
-
-    return log
-
-
-def _latest_periodic(out_dir: Path) -> Path | None:
-    candidates = sorted(out_dir.glob("ckpt_epoch_*.bin"))
-    return candidates[-1] if candidates else None
+def _resume_checkpoint(out_dir: Path) -> tuple[Path, Checkpoint]:
+    """The periodic checkpoint of the highest epoch in `out_dir` that loads;
+    newer ones that fail to load are named on stderr and skipped."""
+    epochs = {p: p.stem.removeprefix("ckpt_epoch_") for p in out_dir.glob("ckpt_epoch_*.bin")}
+    for path in sorted((p for p in epochs if epochs[p].isdecimal()),
+                       key=lambda p: int(epochs[p]), reverse=True):
+        try:
+            return path, load_checkpoint(path)
+        except ValidationError as exc:
+            print(f"warning: skipping an unloadable checkpoint: {exc}", file=sys.stderr)
+    raise ValidationError(f"--resume: no loadable periodic checkpoint in {out_dir}")
 
 
 def _optimizer_blobs(optimizer: Adam, names: list[str]) -> dict[str, np.ndarray]:
@@ -107,6 +103,28 @@ def _optimizer_blobs(optimizer: Adam, names: list[str]) -> dict[str, np.ndarray]
         blobs[f"m.{name}"] = m
         blobs[f"v.{name}"] = v
     return blobs
+
+
+def _fit(out_dir: Path, every: int, train, checkpoint, done: str) -> None:
+    """Run `train(on_epoch)`, appending each epoch to metrics.jsonl, writing
+    ckpt_epoch_NNNN.bin every `every` epochs (0: never) and model.bin at the
+    end. `checkpoint(epoch, periodic)` builds what is written."""
+    start = time.monotonic()
+
+    def on_epoch(stats: EpochStats) -> None:
+        with open(out_dir / "metrics.jsonl", "a", encoding="utf-8") as f:
+            f.write(json.dumps({
+                "epoch": stats.epoch, "lr": stats.lr, "loss": stats.mean_loss,
+                "wall_time": round(time.monotonic() - start, 3),
+            }, sort_keys=True) + "\n")
+        if every > 0 and stats.epoch % every == 0:
+            save_checkpoint(out_dir / f"ckpt_epoch_{stats.epoch:04d}.bin",
+                            checkpoint(stats.epoch, True))
+
+    result = train(on_epoch)
+    save_checkpoint(out_dir / "model.bin", checkpoint(result.history[-1].epoch, False))
+    print(f"{done}: final loss {result.final_loss:.4f}")
+    print(f"checkpoint: {out_dir / 'model.bin'}")
 
 
 def cmd_train(args) -> int:
@@ -123,37 +141,24 @@ def cmd_train(args) -> int:
 def _train_tagging(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> int:
     tags = tag_name_list(records)
     clips = load_tagging_clips(records, cfg.frontend, tags, base_dir)
-    dec_cfg = DecoderConfig(**{**run_config_to_dict(cfg)["decoder"], "vocab_size": 4})
-    model = CaptionerModel(cfg.encoder, dec_cfg, num_tags=len(tags), seed=cfg.seed)
+    model = CaptionerModel(cfg.encoder, None, num_tags=len(tags), seed=cfg.seed)
 
-    log = _metrics_logger(out_dir / "metrics.jsonl")
+    def checkpoint(epoch: int, periodic: bool) -> Checkpoint:
+        return Checkpoint(kind="tagging", config=run_config_to_dict(cfg), vocab=None,
+                          tags=tags, tensors=model_state(model), epoch=epoch)
 
-    def provider(epoch: int):
-        return tagging_examples(clips, cfg.frontend, cfg.augment, cfg.seed, epoch)
+    def train(on_epoch):
+        return pretrain_tagging(model, lambda epoch: training_examples(
+            clips, cfg.frontend, cfg.augment, cfg.seed, epoch), cfg.pretrain, on_epoch=on_epoch)
 
-    def on_epoch(stats: EpochStats) -> None:
-        log(stats)
-        every = cfg.pretrain.checkpoint_every
-        if every > 0 and stats.epoch % every == 0:
-            _save(out_dir / f"ckpt_epoch_{stats.epoch:04d}.bin", stats.epoch)
-
-    def _save(path: Path, epoch: int | None) -> None:
-        save_checkpoint(path, Checkpoint(
-            kind="tagging", config=run_config_to_dict(cfg), vocab=None,
-            tags=tags, tensors=model_state(model), epoch=epoch))
-
-    result = pretrain_tagging(model, provider, cfg.pretrain, on_epoch=on_epoch)
-    _save(out_dir / "model.bin", result.history[-1].epoch)
-    print(f"tagging pretraining done: final loss {result.final_loss:.4f}")
-    print(f"checkpoint: {out_dir / 'model.bin'}")
+    _fit(out_dir, cfg.pretrain.checkpoint_every, train, checkpoint,
+         "tagging pretraining done")
     return 0
 
 
 def _build_caption_model(cfg: RunConfig, vocab: Vocabulary,
                          corpus: list[list[str]], num_tags: int) -> CaptionerModel:
-    dec_kwargs = run_config_to_dict(cfg)["decoder"]
-    dec_kwargs["vocab_size"] = len(vocab)
-    dec_cfg = DecoderConfig(**dec_kwargs)
+    dec_cfg = dataclasses.replace(cfg.decoder, vocab_size=len(vocab))
     word_embeddings = None
     if cfg.word2vec.enabled:
         dim = cfg.word2vec.dim or dec_cfg.d
@@ -172,10 +177,7 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
     start_epoch = 1
     resume_ckpt = None
     if args.resume:
-        latest = _latest_periodic(out_dir)
-        if latest is None:
-            raise ValidationError(f"--resume: no periodic checkpoint in {out_dir}")
-        resume_ckpt = load_checkpoint(latest)
+        latest, resume_ckpt = _resume_checkpoint(out_dir)
         cfg = run_config_from_dict(resume_ckpt.config)
         start_epoch = (resume_ckpt.epoch or 0) + 1
 
@@ -211,34 +213,24 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
             optimizer.state.v[i][...] = moments[f"v.{name}"]
         optimizer.state.step = resume_ckpt.optimizer_step
 
-    log = _metrics_logger(out_dir / "metrics.jsonl")
-
-    def _save(path: Path, epoch: int | None, moments: bool) -> None:
+    def checkpoint(epoch: int, periodic: bool) -> Checkpoint:
         # only the periodic checkpoints that --resume reads carry Adam moments
-        save_checkpoint(path, Checkpoint(
+        return Checkpoint(
             kind="caption", config=run_config_to_dict(cfg),
             vocab=vocab.id_to_word, tags=tags or None,
             tensors=model_state(model), epoch=epoch,
-            optimizer=_optimizer_blobs(optimizer, param_names) if moments else {},
-            optimizer_step=optimizer.state.step))
+            optimizer=_optimizer_blobs(optimizer, param_names) if periodic else {},
+            optimizer_step=optimizer.state.step)
 
-    def provider(epoch: int):
-        return caption_examples(clips, cfg.frontend, cfg.augment, cfg.seed, epoch)
-
-    def on_epoch(stats: EpochStats) -> None:
-        log(stats)
-        every = cfg.train.checkpoint_every
-        if every > 0 and stats.epoch % every == 0:
-            _save(out_dir / f"ckpt_epoch_{stats.epoch:04d}.bin", stats.epoch, True)
+    def train(on_epoch):
+        return train_captioner(model, lambda epoch: training_examples(
+            clips, cfg.frontend, cfg.augment, cfg.seed, epoch), cfg.train,
+            start_epoch=start_epoch, optimizer=optimizer, on_epoch=on_epoch)
 
     if start_epoch > cfg.train.epochs:
         raise ValidationError("--resume: training already finished")
-    result = train_captioner(model, provider, cfg.train, start_epoch=start_epoch,
-                             optimizer=optimizer, on_epoch=on_epoch)
-    _save(out_dir / "model.bin", result.history[-1].epoch, False)
+    _fit(out_dir, cfg.train.checkpoint_every, train, checkpoint, "caption training done")
     save_vocabulary(vocab, out_dir / "vocab.txt")
-    print(f"caption training done: final loss {result.final_loss:.4f}")
-    print(f"checkpoint: {out_dir / 'model.bin'}")
     return 0
 
 
@@ -255,9 +247,7 @@ def _caption_model_from_checkpoint(path: str) -> tuple[CaptionerModel, Vocabular
     cfg = run_config_from_dict(ckpt.config)
     vocab = Vocabulary(id_to_word=list(ckpt.vocab),
                        word_to_id={w: i for i, w in enumerate(ckpt.vocab)})
-    dec_kwargs = run_config_to_dict(cfg)["decoder"]
-    dec_kwargs["vocab_size"] = len(vocab)
-    model = CaptionerModel(cfg.encoder, DecoderConfig(**dec_kwargs),
+    model = CaptionerModel(cfg.encoder, dataclasses.replace(cfg.decoder, vocab_size=len(vocab)),
                            num_tags=len(ckpt.tags) if ckpt.tags else 1,
                            seed=cfg.seed)
     load_model_state(model, ckpt.tensors)
@@ -270,12 +260,11 @@ def cmd_caption(args) -> int:
     max_len = args.max_len if args.max_len is not None else cfg.decode.max_len
 
     input_path = Path(args.input)
+    base_dir = input_path.parent
     if input_path.suffix.lower() == ".wav":
         records = [ManifestRecord(clip_id=input_path.stem, wav=input_path.name)]
-        base_dir = input_path.parent
     else:
         records = load_manifest(input_path)
-        base_dir = input_path.parent
 
     lines = []
     for rec in sorted(records, key=lambda r: r.clip_id):
@@ -341,15 +330,13 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.config:
         cfg = load_run_config(args.config)
-        enc, dec = cfg.encoder, cfg.decoder
-        enc.dropout = 0.0
-        dec = DecoderConfig(**{**run_config_to_dict(cfg)["decoder"],
-                               "vocab_size": dec.vocab_size or 9, "dropout": 0.0})
-        enc.max_patches = max(enc.max_patches, 3)
-        report = model_gradient_check(seed=args.seed, enc=enc, dec=dec)
+        enc = dataclasses.replace(cfg.encoder, dropout=0.0,
+                                  max_patches=max(cfg.encoder.max_patches, 3))
+        dec = dataclasses.replace(cfg.decoder, vocab_size=cfg.decoder.vocab_size or 9,
+                                  dropout=0.0)
     else:
         enc, dec = tiny_configs()
-        report = model_gradient_check(seed=args.seed, enc=enc, dec=dec)
+    report = model_gradient_check(seed=args.seed, enc=enc, dec=dec)
     worst_name = max(report.per_param, key=report.per_param.get)
     print(f"checked {len(report.per_param)} parameter tensors")
     print(f"max relative error: {report.max_error:.3e} (worst: {worst_name})")

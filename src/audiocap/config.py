@@ -65,6 +65,17 @@ class RunConfig:
                 f"frames_per_patch * mel_bins = {expected}")
 
 
+def _fits(default, value) -> bool:
+    """Whether `value` has the type of a key whose default is `default`: a
+    bool for a bool, a number for a float, an integer for an int, and an
+    integer or null for an unset section seed."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, int) or (default is None and value is None)
+
+
 def _build(base, data: dict, path: str):
     """A copy of the dataclass `base` with the keys of `data` replaced. A
     section (a nested dataclass) is built the same way on the value `base`
@@ -80,13 +91,16 @@ def _build(base, data: dict, path: str):
     kwargs = {}
     for key, value in data.items():
         current = getattr(base, key)
+        key_path = f"{path}.{key}" if path else key
         if dataclasses.is_dataclass(current):
-            kwargs[key] = _build(current, value, f"{path}.{key}" if path else key)
+            kwargs[key] = _build(current, value, key_path)
+        elif not _fits(current, value):
+            raise ValidationError(f"config key {key_path} has the wrong type: {value!r}")
         else:
             kwargs[key] = value
     try:
         return dataclasses.replace(base, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"invalid config section {path or 'root'}: {exc}") from exc
 
 
@@ -104,9 +118,3 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
     return dataclasses.asdict(cfg)
-
-
-def save_run_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(run_config_to_dict(cfg), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from .text import Vocabulary, encode, tokenize_caption
 from .training import CaptionExample, TaggingExample
 
 MANIFEST_KEYS = {"id", "wav", "events", "synth_seed", "captions", "tags"}
+EVENT_KEYS = ("kind", "onset", "duration")
 
 
 @dataclass
@@ -46,6 +48,50 @@ def write_manifest(path: str | Path, records: list[ManifestRecord]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _event(where: str, e) -> Event:
+    if not isinstance(e, dict) or any(k not in e for k in EVENT_KEYS):
+        raise ValidationError(f"{where}: an event must be an object with {list(EVENT_KEYS)}")
+    if not (isinstance(e["kind"], str) and _number(e["onset"]) and _number(e["duration"])
+            and all(e.get(k) is None or _number(e[k])
+                    for k in ("freq", "freq_end", "amplitude"))):
+        raise ValidationError(f"{where}: an event needs a string kind and finite numbers")
+    return Event.from_json(e)
+
+
+def _record(where: str, d) -> ManifestRecord:
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where}: a record must be a JSON object")
+    unknown = sorted(set(d) - MANIFEST_KEYS)
+    if unknown:
+        raise ValidationError(f"{where}: unknown manifest key(s): {unknown}")
+    if not isinstance(d.get("id"), str):
+        raise ValidationError(f"{where}: record needs a string id")
+    if "wav" not in d and "events" not in d:
+        raise ValidationError(f"{where}: record needs a wav path or events")
+    if not isinstance(d.get("wav", ""), str) or not isinstance(d.get("events", []), list):
+        raise ValidationError(f"{where}: wav must be a path string and events a list")
+    seed = d.get("synth_seed")
+    if seed is not None and not (isinstance(seed, int) and not isinstance(seed, bool)):
+        raise ValidationError(f"{where}: synth_seed must be an integer")
+    for key in ("captions", "tags"):
+        if not _strings(d.get(key, [])):
+            raise ValidationError(f"{where}: {key} must be a list of strings")
+    events = d.get("events")
+    return ManifestRecord(
+        clip_id=d["id"], wav=d.get("wav"), synth_seed=seed,
+        events=None if events is None else [_event(where, e) for e in events],
+        captions=list(d.get("captions", [])), tags=list(d.get("tags", [])))
+
+
 def load_manifest(path: str | Path) -> list[ManifestRecord]:
     records = []
     seen = set()
@@ -53,25 +99,13 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
         if not line.strip():
             continue
         try:
-            d = json.loads(line)
+            rec = _record(f"{path}:{ln}", json.loads(line))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}:{ln}: not valid JSON ({exc})") from exc
-        unknown = sorted(set(d) - MANIFEST_KEYS)
-        if unknown:
-            raise ValidationError(f"{path}:{ln}: unknown manifest key(s): {unknown}")
-        if "id" not in d:
-            raise ValidationError(f"{path}:{ln}: record has no id")
-        if d["id"] in seen:
-            raise ValidationError(f"{path}:{ln}: duplicate clip id {d['id']!r}")
-        seen.add(d["id"])
-        if "wav" not in d and "events" not in d:
-            raise ValidationError(f"{path}:{ln}: record needs a wav path or events")
-        records.append(ManifestRecord(
-            clip_id=d["id"], wav=d.get("wav"),
-            events=[Event.from_json(e) for e in d["events"]] if "events" in d else None,
-            synth_seed=d.get("synth_seed"),
-            captions=list(d.get("captions", [])),
-            tags=list(d.get("tags", []))))
+        if rec.clip_id in seen:
+            raise ValidationError(f"{path}:{ln}: duplicate clip id {rec.clip_id!r}")
+        seen.add(rec.clip_id)
+        records.append(rec)
     if not records:
         raise ValidationError(f"{path}: empty manifest")
     return records
@@ -95,12 +129,18 @@ class CaptionClip:
     logmel: LogMelSpectrogram
     tokens: list[int]
 
+    def example(self, patches: np.ndarray) -> CaptionExample:
+        return CaptionExample(patches=patches, tokens=self.tokens)
+
 
 @dataclass
 class TaggingClip:
     clip_id: str
     logmel: LogMelSpectrogram
     labels: np.ndarray
+
+    def example(self, patches: np.ndarray) -> TaggingExample:
+        return TaggingExample(patches=patches, labels=self.labels)
 
 
 def load_caption_clips(records: list[ManifestRecord], cfg: FrontendConfig,
@@ -146,28 +186,14 @@ def _identity_policy(policy: SpecAugmentPolicy) -> bool:
         policy.time_mask_width_max == 0 and policy.freq_mask_width_max == 0)
 
 
-def caption_examples(clips: list[CaptionClip], cfg: FrontendConfig,
-                     policy: SpecAugmentPolicy | None, seed, epoch: int
-                     ) -> list[CaptionExample]:
+def training_examples(clips: list[CaptionClip] | list[TaggingClip], cfg: FrontendConfig,
+                      policy: SpecAugmentPolicy | None, seed, epoch: int
+                      ) -> list[CaptionExample] | list[TaggingExample]:
     """Patchify each clip, applying fresh SpecAugment masks per epoch."""
     examples = []
     for i, clip in enumerate(clips):
         spec = clip.logmel
         if policy is not None and not _identity_policy(policy):
             spec = spec_augment(spec, policy, [seed, epoch, i])
-        patches = patchify(spec, cfg.frames_per_patch)
-        examples.append(CaptionExample(patches=patches.patches, tokens=clip.tokens))
-    return examples
-
-
-def tagging_examples(clips: list[TaggingClip], cfg: FrontendConfig,
-                     policy: SpecAugmentPolicy | None, seed, epoch: int
-                     ) -> list[TaggingExample]:
-    examples = []
-    for i, clip in enumerate(clips):
-        spec = clip.logmel
-        if policy is not None and not _identity_policy(policy):
-            spec = spec_augment(spec, policy, [seed, epoch, i])
-        patches = patchify(spec, cfg.frames_per_patch)
-        examples.append(TaggingExample(patches=patches.patches, labels=clip.labels))
+        examples.append(clip.example(patchify(spec, cfg.frames_per_patch).patches))
     return examples

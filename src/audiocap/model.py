@@ -269,23 +269,14 @@ def causal_mask(t: int) -> np.ndarray:
     return mask
 
 
-def adapt_pretrained_patch_embedding(kernel: np.ndarray) -> np.ndarray:
-    """Collapse a 3-channel patch-embedding kernel (3, t, F, d) to (t*F, d)
-    by averaging over the channel axis; layout matches the patch projection
-    (time-major, then mel)."""
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim != 4 or kernel.shape[0] != 3:
-        raise ValueError(f"expected a (3, t, F, d) kernel, got shape {kernel.shape}")
-    mean = kernel.mean(axis=0)
-    return mean.reshape(-1, kernel.shape[-1])
-
-
 class CaptionerModel:
-    """Full network: patch embedding, encoder, decoder, tagging head."""
+    """Patch embedding, encoder, tagging head and, unless `dec` is None, the
+    decoder. Tagging pretraining builds the encoder-only model: its
+    parameters are the `enc.*` and `tag_head.*` of the full one."""
 
-    def __init__(self, enc: EncoderConfig, dec: DecoderConfig, num_tags: int,
+    def __init__(self, enc: EncoderConfig, dec: DecoderConfig | None, num_tags: int,
                  seed=0, word_embeddings: np.ndarray | None = None):
-        if dec.vocab_size < 4:
+        if dec is not None and dec.vocab_size < 4:
             raise ValueError("decoder vocab_size must cover the 4 reserved ids")
         if num_tags < 1:
             raise ValueError("num_tags must be >= 1")
@@ -302,20 +293,18 @@ class CaptionerModel:
         self.enc_layers = [EncoderLayer(enc, rng) for _ in range(enc.layers)]
         self.enc_final_ln = LayerNorm(enc.d)
 
-        self.bridge = Linear(enc.d, dec.d, rng) if enc.d != dec.d else None
-
-        if word_embeddings is not None:
+        if dec is not None:
+            self.bridge = Linear(enc.d, dec.d, rng) if enc.d != dec.d else None
+            if word_embeddings is None:
+                word_embeddings = rng.normal(0.0, INIT_STD, (dec.vocab_size, dec.d))
             if word_embeddings.shape != (dec.vocab_size, dec.d):
                 raise ValueError(
                     f"word embeddings shape {word_embeddings.shape} does not match "
                     f"({dec.vocab_size}, {dec.d})")
             self.word_embed = Tensor(np.array(word_embeddings), requires_grad=True)
-        else:
-            self.word_embed = Tensor(
-                rng.normal(0.0, INIT_STD, (dec.vocab_size, dec.d)), requires_grad=True)
-        self.dec_layers = [DecoderLayer(dec, rng) for _ in range(dec.layers)]
-        self.dec_final_ln = LayerNorm(dec.d)
-        self.out_proj = Linear(dec.d, dec.vocab_size, rng)
+            self.dec_layers = [DecoderLayer(dec, rng) for _ in range(dec.layers)]
+            self.dec_final_ln = LayerNorm(dec.d)
+            self.out_proj = Linear(dec.d, dec.vocab_size, rng)
 
         self.tag_head = Linear(enc.d, num_tags, rng)
 
@@ -327,13 +316,14 @@ class CaptionerModel:
         for i, layer in enumerate(self.enc_layers):
             yield from layer.named_params(f"enc.layer{i}")
         yield from self.enc_final_ln.named_params("enc.final_ln")
-        if self.bridge is not None:
-            yield from self.bridge.named_params("bridge")
-        yield "dec.word_embed", self.word_embed
-        for i, layer in enumerate(self.dec_layers):
-            yield from layer.named_params(f"dec.layer{i}")
-        yield from self.dec_final_ln.named_params("dec.final_ln")
-        yield from self.out_proj.named_params("dec.out_proj")
+        if self.dec_cfg is not None:
+            if self.bridge is not None:
+                yield from self.bridge.named_params("bridge")
+            yield "dec.word_embed", self.word_embed
+            for i, layer in enumerate(self.dec_layers):
+                yield from layer.named_params(f"dec.layer{i}")
+            yield from self.dec_final_ln.named_params("dec.final_ln")
+            yield from self.out_proj.named_params("dec.out_proj")
         yield from self.tag_head.named_params("tag_head")
 
     def parameters(self) -> list[Tensor]:
@@ -429,11 +419,3 @@ class CaptionerModel:
                     rng: np.random.Generator | None = None) -> Tensor:
         embedded = self.embed_patches(patch_seq.patches[None, :, :])
         return self.encode(embedded, train, rng)
-
-    def load_pretrained_patch_embedding(self, kernel: np.ndarray) -> None:
-        weights = adapt_pretrained_patch_embedding(kernel)
-        if weights.shape != self.patch_embed.w.shape:
-            raise ValueError(
-                f"adapted kernel shape {weights.shape} does not match patch "
-                f"projection {self.patch_embed.w.shape}")
-        self.patch_embed.w.data[...] = weights

@@ -77,11 +77,3 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     ]
     lines.extend(vocab.id_to_word[len(RESERVED):])
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_vocabulary(path: str | Path) -> Vocabulary:
-    words = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines()
-             if ln and not ln.startswith("#")]
-    id_to_word = list(RESERVED) + words
-    return Vocabulary(id_to_word=id_to_word,
-                      word_to_id={w: i for i, w in enumerate(id_to_word)})

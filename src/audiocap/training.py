@@ -111,20 +111,6 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     return ad.neg(ad.mean(ad.add(pos, neg)))
 
 
-def bce_tagging_loss(probs, labels) -> Tensor:
-    """BCE from probabilities in (0,1); probabilities are clamped before the
-    log, so prefer bce_with_logits for training."""
-    labels = np.asarray(labels, dtype=np.float64)
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ValueError("tag labels must be binary")
-    p = probs if isinstance(probs, Tensor) else Tensor(probs)
-    tiny = 1e-12
-    clamped = Tensor(np.clip(p.data, tiny, 1.0 - tiny))
-    pos = ad.mul(ad.log(clamped), labels)
-    neg = ad.mul(ad.log(ad.sub(1.0, clamped)), 1.0 - labels)
-    return ad.neg(ad.mean(ad.add(pos, neg)))
-
-
 # ---------------------------------------------------------------------------
 # batching and epoch loops
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from audiocap.audio import (CLIP_SAMPLES, SAMPLE_RATE, FrontendConfig,
                             LogMelSpectrogram, SpecAugmentPolicy, Waveform,
                             compute_log_mel, hz_to_mel, mel_filterbank,
                             mel_to_hz, patchify, prepare_waveform, read_wav,
-                            spec_augment, unpatchify, write_wav)
+                            spec_augment, write_wav)
 from logmel_reference import reference_log_mel
 
 
@@ -40,6 +40,14 @@ def test_prepare_resamples_other_rates():
     assert len(w.samples) == CLIP_SAMPLES
 
 
+def test_prepare_resamples_only_the_kept_samples():
+    # at 1 Hz, 20 samples resample to 640,000; the first CLIP_SAMPLES are kept
+    samples = np.random.default_rng(4).normal(size=20)
+    full = np.interp(np.arange(640_000) / SAMPLE_RATE, np.arange(20) / 1.0, samples)
+    w = prepare_waveform(samples, 1)
+    np.testing.assert_array_equal(w.samples, full[:CLIP_SAMPLES])
+
+
 def test_wav_round_trip(tmp_path):
     original = Waveform(samples=tone(440))
     path = tmp_path / "clip.wav"
@@ -58,6 +66,14 @@ def test_read_wav_rejects_stereo(tmp_path):
         wf.setframerate(SAMPLE_RATE)
         wf.writeframes(b"\x00\x00" * 200)
     with pytest.raises(ValueError):
+        read_wav(path)
+
+
+@pytest.mark.parametrize("raw", [b"", b"not a wav file at all", b"RIFF\x10\x00"])
+def test_read_wav_names_unreadable_file(tmp_path, raw):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="bad.wav"):
         read_wav(path)
 
 
@@ -159,7 +175,7 @@ def test_patchify_whole_spectrogram_single_patch():
 def test_patchify_round_trip_exact():
     frames = np.random.default_rng(2).normal(size=(27, 8))
     p = patchify(_spec(frames), 4)  # 6 patches, 24 usable frames
-    np.testing.assert_array_equal(unpatchify(p, 8), frames[:24])
+    np.testing.assert_array_equal(p.patches.reshape(24, 8), frames[:24])
 
 
 def test_patchify_time_major_layout():

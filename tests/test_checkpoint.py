@@ -207,3 +207,21 @@ def test_well_formed_raw_checkpoint_loads(tmp_path):
     path = tmp_path / "model.bin"
     write_raw(path, header(), np.arange(2.0).tobytes())
     np.testing.assert_array_equal(load_checkpoint(path).tensors["w"], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kind", 3), ("config", []), ("vocab", [["a"]]), ("tags", "tone"),
+    ("epoch", "4"), ("optimizer_step", 1.5), ("epoch", True),
+])
+def test_header_field_of_wrong_type_rejected(tmp_path, field, value):
+    path = tmp_path / "model.bin"
+    write_raw(path, dict(header(), **{field: value}), np.arange(2.0).tobytes())
+    with pytest.raises(ValidationError, match="wrong type"):
+        load_checkpoint(path)
+
+
+def test_tensor_name_must_be_a_string(tmp_path):
+    path = tmp_path / "model.bin"
+    write_raw(path, header(name=7), np.arange(2.0).tobytes())
+    with pytest.raises(ValidationError, match="bad name"):
+        load_checkpoint(path)

@@ -109,6 +109,26 @@ def test_invalid_json_maps_to_exit_3(tmp_path, corpus, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"train": {"epochs": 2.5}}, "train.epochs"),
+    ({"frontend": {"hop": 5e2}}, "frontend.hop"),
+    ({"word2vec": {"enabled": 1}}, "word2vec.enabled"),
+    ({"decode": {"beam_size": True}}, "decode.beam_size"),
+    ({"train": {"base_lr": "0.1"}}, "train.base_lr"),
+    ({"seed": None}, "seed"),
+    ({"encoder": {"heads": 0}}, "encoder"),
+])
+def test_wrong_value_type_rejected(data, key):
+    with pytest.raises(ValidationError, match=key):
+        run_config_from_dict(data)
+
+
+def test_numbers_and_unset_section_seeds_accepted():
+    cfg = run_config_from_dict({"train": {"base_lr": 1, "seed": None},
+                                "pretrain": {"seed": 4}})
+    assert cfg.train.base_lr == 1 and cfg.train.seed is None and cfg.pretrain.seed == 4
+
+
 def test_patch_dim_consistency_enforced():
     with pytest.raises(ValidationError, match="patch_dim"):
         run_config_from_dict({"frontend": {"mel_bins": 16, "frames_per_patch": 8},
@@ -270,6 +290,30 @@ def test_eval_spice_supplied_enables_spider(tmp_path, corpus):
     assert "spice" not in report["unavailable"]
 
 
+@pytest.mark.parametrize("line, complaint", [
+    ('1', "must be a JSON object"),
+    ('{"id": "a", "events": [1]}', "an event must be an object"),
+    ('{"id": "a", "events": [{"kind": "tone", "onset": 0}]}', "an event must be an object"),
+    ('{"id": "a", "events": [{"kind": "tone", "onset": 0, "duration": NaN}]}',
+     "finite numbers"),
+    ('{"id": "a", "wav": "x.wav", "captions": "a dog barks"}', "captions must be a list"),
+    ('{"id": "a", "wav": "x.wav", "tags": [1]}', "tags must be a list"),
+    ('{"id": 1, "wav": "x.wav"}', "string id"),
+    ('{"id": "a", "wav": 3}', "wav must be a path string"),
+    ('{"id": "a", "events": [], "synth_seed": "s"}', "synth_seed"),
+])
+def test_malformed_manifest_record_exits_3_with_line(tmp_path, capsys, line, complaint):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text('{"id": "ok", "wav": "ok.wav"}\n' + line + "\n")
+    (tmp_path / "c.tsv").write_text("ok\tx\n")
+    for argv in (["train", "--manifest", str(manifest), "--out", str(tmp_path / "run")],
+                 ["eval", "--candidates", str(tmp_path / "c.tsv"),
+                  "--references", str(manifest), "--out", str(tmp_path / "ev")]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{manifest}:2:" in err and complaint in err, err
+
+
 # ---------------------------------------------------------------------------
 # tagging pretraining and --init
 # ---------------------------------------------------------------------------
@@ -286,6 +330,10 @@ def test_pretrain_and_init_transfer(tmp_path, corpus):
     ckpt = load_checkpoint(tag_run / "model.bin")
     assert ckpt.kind == "tagging"
     assert ckpt.tags and ckpt.vocab is None
+    # tagging pretraining builds no decoder, so it saves none
+    assert ckpt.tensors and all(name.startswith(("enc.", "tag_head."))
+                                for name in ckpt.tensors)
+    assert "tag_head.w" in ckpt.tensors and "enc.cls" in ckpt.tensors
 
     run = tmp_path / "cap_run"
     assert main(["train", "--config", str(cfg),
@@ -347,6 +395,49 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, corpus):
     assert a.optimizer.keys() == b.optimizer.keys() and a.optimizer
     for name, arr in a.optimizer.items():
         np.testing.assert_array_equal(arr, b.optimizer[name], err_msg=name)
+
+
+def test_resume_skips_truncated_latest_checkpoint(tmp_path, corpus, capsys):
+    cfg = write_config(tmp_path, {"train.epochs": 4, "train.checkpoint_every": 1})
+    full = tmp_path / "full"
+    assert main(["train", "--config", str(cfg),
+                 "--manifest", str(corpus / "captions.jsonl"),
+                 "--out", str(full)]) == 0
+
+    resumed = tmp_path / "resumed"
+    resumed.mkdir()
+    shutil.copy(full / "ckpt_epoch_0002.bin", resumed / "ckpt_epoch_0002.bin")
+    raw = (full / "ckpt_epoch_0003.bin").read_bytes()
+    (resumed / "ckpt_epoch_0003.bin").write_bytes(raw[: len(raw) // 2])
+    capsys.readouterr()
+    assert main(["train", "--manifest", str(corpus / "captions.jsonl"),
+                 "--out", str(resumed), "--resume"]) == 0
+    assert "ckpt_epoch_0003.bin" in capsys.readouterr().err
+
+    a = load_checkpoint(full / "model.bin")
+    b = load_checkpoint(resumed / "model.bin")
+    assert a.epoch == b.epoch == 4
+    for name, arr in a.tensors.items():
+        np.testing.assert_array_equal(arr, b.tensors[name], err_msg=name)
+
+
+def test_resume_orders_checkpoints_by_epoch_number(tmp_path, corpus, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(write_config(tmp_path)),
+                 "--manifest", str(corpus / "captions.jsonl"),
+                 "--out", str(run)]) == 0
+    # a 10,000-epoch run: resuming from epoch 10000 finds nothing left to do,
+    # while epoch 9999 (first by name: "ckpt_epoch_10000" sorts before it)
+    # would train one more epoch
+    for epoch in (9999, 10000):
+        ckpt = load_checkpoint(run / "ckpt_epoch_0002.bin")
+        ckpt.epoch = epoch
+        ckpt.config["train"]["epochs"] = 10000
+        save_checkpoint(run / f"ckpt_epoch_{epoch}.bin", ckpt)
+    code = main(["train", "--manifest", str(corpus / "captions.jsonl"),
+                 "--out", str(run), "--resume"])
+    assert code == 3
+    assert "already finished" in capsys.readouterr().err
 
 
 def test_only_periodic_checkpoints_carry_optimizer_state(tmp_path, corpus):

@@ -4,8 +4,7 @@ import pytest
 from audiocap import autodiff as ad
 from audiocap.audio import PatchSequence
 from audiocap.model import (DECODER_PRESETS, CaptionerModel, DecoderConfig,
-                            EncoderConfig, MultiHeadAttention,
-                            adapt_pretrained_patch_embedding, causal_mask,
+                            EncoderConfig, MultiHeadAttention, causal_mask,
                             decoder_preset)
 
 
@@ -275,32 +274,20 @@ def test_tagging_probabilities_monotone_in_logits():
     assert np.all((probs > 0) & (probs < 1))
 
 
-def test_adapt_kernel_channel_mean():
-    rng = np.random.default_rng(15)
-    kernel = rng.normal(size=(3, 2, 4, 5))
-    adapted = adapt_pretrained_patch_embedding(kernel)
-    assert adapted.shape == (8, 5)
-    np.testing.assert_allclose(adapted, kernel.mean(axis=0).reshape(8, 5))
-
-
-def test_adapt_kernel_identical_channels():
-    one = np.random.default_rng(16).normal(size=(2, 4, 5))
-    adapted = adapt_pretrained_patch_embedding(np.stack([one, one, one]))
-    np.testing.assert_allclose(adapted, one.reshape(8, 5))
-
-
-def test_adapt_kernel_zero_and_bad_channels():
-    assert np.all(adapt_pretrained_patch_embedding(np.zeros((3, 2, 4, 5))) == 0)
-    with pytest.raises(ValueError):
-        adapt_pretrained_patch_embedding(np.zeros((4, 2, 4, 5)))
-
-
-def test_load_pretrained_patch_embedding_into_model():
-    model = small_model()  # patch_dim 8 = 2 frames x 4 bins
-    kernel = np.random.default_rng(17).normal(size=(3, 2, 4, 16))
-    model.load_pretrained_patch_embedding(kernel)
-    np.testing.assert_allclose(model.patch_embed.w.data,
-                               kernel.mean(axis=0).reshape(8, 16))
+def test_encoder_only_model_holds_encoder_and_tag_head():
+    full = small_model(seed=5)
+    enc_only = CaptionerModel(full.enc_cfg, None, num_tags=3, seed=5)
+    names = [n for n, _ in enc_only.named_parameters()]
+    assert names == [n for n, _ in full.named_parameters()
+                     if n.startswith(("enc.", "tag_head."))]
+    # the encoder draws first from the seed's generator in both models
+    full_params = dict(full.named_parameters())
+    for name, p in enc_only.named_parameters():
+        if name.startswith("enc."):
+            np.testing.assert_array_equal(p.data, full_params[name].data, err_msg=name)
+    patches = rand((2, 4, 8))
+    encoded = enc_only.encode(enc_only.embed_patches(patches))
+    assert enc_only.tagging_logits(encoded).shape == (2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from audiocap.model import CaptionerModel, DecoderConfig, EncoderConfig
 from audiocap.optim import Adam
 from audiocap.text import EOS, PAD, SOS
 from audiocap.training import (CaptionExample, TaggingExample, TrainConfig,
-                               bce_tagging_loss, bce_with_logits,
+                               bce_with_logits,
                                caption_batch_loss, label_smoothed_ce,
                                lr_at_epoch, pretrain_tagging,
                                train_captioner, train_epoch,
@@ -106,8 +106,9 @@ def test_bce_single_entry_oracle():
 
 
 def test_bce_matching_probabilities_near_zero():
-    y = np.array([[1.0, 0.0, 1.0]])
-    loss = bce_tagging_loss(np.array([[1.0, 0.0, 1.0]]), y)
+    # sigmoid(+-40) is within 5e-18 of the labels
+    loss = bce_with_logits(Tensor(np.array([[40.0, -40.0, 40.0]])),
+                           np.array([[1.0, 0.0, 1.0]]))
     assert loss.item() < 1e-9
 
 
@@ -115,16 +116,16 @@ def test_bce_probability_and_logit_forms_agree():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(4, 5))
     y = rng.integers(0, 2, size=(4, 5)).astype(float)
-    a = bce_with_logits(Tensor(z), y).item()
-    b = bce_tagging_loss(ad.sigmoid(Tensor(z)), y).item()
-    assert abs(a - b) < 1e-9
+    p = 1.0 / (1.0 + np.exp(-z))
+    expected = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+    assert abs(bce_with_logits(Tensor(z), y).item() - expected) < 1e-12
 
 
 def test_bce_rejects_non_binary_labels():
     with pytest.raises(ValueError):
         bce_with_logits(Tensor(np.zeros((1, 2))), np.array([[0.5, 1.0]]))
     with pytest.raises(ValueError):
-        bce_tagging_loss(np.array([[0.5]]), np.array([[2.0]]))
+        bce_with_logits(Tensor(np.zeros((1, 1))), np.array([[2.0]]))
 
 
 def test_bce_with_logits_stable_at_extremes():
@@ -305,6 +306,25 @@ def test_pretrain_tagging_updates_only_encoder_and_head():
     changed = [n for n, p in model.named_parameters()
                if n.startswith("enc.") and np.abs(p.grad).max() > 0]
     assert changed
+
+
+def test_encoder_only_pretraining_equals_full_model():
+    full = small_model(vocab_size=4, dropout=0.2)  # dropout draws from the batch rng
+    enc_only = CaptionerModel(full.enc_cfg, None, num_tags=3, seed=0)
+    # only the tag head's init differs: the full model draws it after the decoder
+    enc_only.tag_head.w.data[...] = full.tag_head.w.data
+    rng = np.random.default_rng(4)
+    examples = [TaggingExample(patches=rng.normal(size=(4, 8)),
+                               labels=np.array([1.0, 0.0, float(i % 2)]))
+                for i in range(6)]
+    cfg = TrainConfig(epochs=3, batch_size=4, base_lr=1e-3, warmup_epochs=1,
+                      label_smoothing=0.0, dropout=0.0, seed=0)
+    a = pretrain_tagging(full, lambda e: examples, cfg)
+    b = pretrain_tagging(enc_only, lambda e: examples, cfg)
+    assert [s.mean_loss for s in a.history] == [s.mean_loss for s in b.history]
+    full_params = dict(full.named_parameters())
+    for name, p in enc_only.named_parameters():
+        assert p.data.tobytes() == full_params[name].data.tobytes(), name
 
 
 def test_bce_loss_decreases_during_pretraining():
