@@ -29,6 +29,23 @@ class FrontendConfig:
     log_floor: float = 1e-10
     frames_per_patch: int = 4
 
+    def __post_init__(self):
+        for name in ("window", "hop", "mel_bins", "frames_per_patch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.log_floor > 0:
+            raise ValueError(f"log_floor must be > 0, got {self.log_floor}")
+
+    def check_clip_patches(self, max_patches: int) -> None:
+        """Reject a front end that makes more than `max_patches` patches of a
+        10 s clip (one frame per hop over the centered windows), counted
+        without computing a log-mel, whose size grows as 1/hop."""
+        starts = CLIP_SAMPLES + 2 * (self.window // 2) - self.window + 1
+        patches = -(-starts // self.hop) // self.frames_per_patch
+        if patches > max_patches:
+            raise ValueError(f"the frontend makes {patches} patches of a 10 s clip, "
+                             f"more than encoder.max_patches {max_patches}")
+
 
 @dataclass
 class LogMelSpectrogram:
@@ -181,8 +198,6 @@ def patchify(spec: LogMelSpectrogram, frames_per_patch: int) -> PatchSequence:
     (time-major, then mel); trailing frames beyond N*t are dropped."""
     t = frames_per_patch
     total = spec.num_frames
-    if t < 1:
-        raise ValueError("frames_per_patch must be >= 1")
     if t > total:
         raise ValueError(f"frames_per_patch {t} exceeds frame count {total}")
     n = total // t

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .config import ValidationError
 from .model import CaptionerModel
 
@@ -45,8 +45,8 @@ def model_state(model: CaptionerModel) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    """Write `ckpt` to a temporary file beside `path`, then rename it over
-    `path`: a write that fails leaves any previous file whole."""
+    """Write `ckpt` to `path` atomically: a write that fails leaves any
+    previous file whole."""
     entries = []
     offset = 0
     blobs = []
@@ -72,20 +72,8 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         "tensors": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", FORMAT_VERSION))
-            f.write(struct.pack("<Q", len(header_bytes)))
-            f.write(header_bytes)
-            for blob in blobs:
-                f.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, MAGIC, struct.pack("<I", FORMAT_VERSION),
+                 struct.pack("<Q", len(header_bytes)), header_bytes, *blobs)
 
 
 def _words(value) -> bool:

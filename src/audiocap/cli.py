@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import patchify
+from .atomic import write_atomic
+from .audio import patchify, write_wav
 from .autodiff import NumericError, no_grad
 from .checkpoint import (Checkpoint, load_checkpoint, load_model_state,
                          model_state, save_checkpoint)
@@ -36,7 +37,6 @@ from .text import (Vocabulary, build_vocabulary, decode as decode_tokens,
                    save_vocabulary, tokenize_caption)
 from .training import (EpochStats, pretrain_tagging, train_captioner,
                        trainable_caption_params)
-from .audio import write_wav
 from .word2vec import train_skipgram
 
 DATA_DIR_ENV = "AUDIOCAP_DATA_DIR"
@@ -98,17 +98,25 @@ def _resume_checkpoint(out_dir: Path) -> tuple[Path, Checkpoint]:
 
 
 def _optimizer_blobs(optimizer: Adam, names: list[str]) -> dict[str, np.ndarray]:
-    blobs = {}
-    for name, m, v in zip(names, optimizer.state.m, optimizer.state.v):
-        blobs[f"m.{name}"] = m
-        blobs[f"v.{name}"] = v
-    return blobs
+    return {f"{kind}.{name}": moment for kind, moments in (("m", optimizer.m), ("v", optimizer.v))
+            for name, moment in zip(names, moments)}
 
 
-def _fit(out_dir: Path, every: int, train, checkpoint, done: str) -> None:
+def _fit(out_dir: Path, every: int, train, checkpoint, done: str,
+         resume: bool = False) -> None:
     """Run `train(on_epoch)`, appending each epoch to metrics.jsonl, writing
     ckpt_epoch_NNNN.bin every `every` epochs (0: never) and model.bin at the
-    end. `checkpoint(epoch, periodic)` builds what is written."""
+    end. `checkpoint(epoch, periodic)` builds what is written. Unless it
+    resumes, the run replaces an earlier one in `out_dir`: metrics.jsonl
+    starts empty and the earlier periodic checkpoints are removed."""
+    if not resume:
+        stale = sorted(out_dir.glob("ckpt_epoch_*.bin"))
+        if stale:
+            print(f"removing the earlier run's checkpoints: "
+                  f"{', '.join(p.name for p in stale)}", file=sys.stderr)
+        for path in stale:
+            path.unlink()
+        (out_dir / "metrics.jsonl").write_text("", encoding="utf-8")
     start = time.monotonic()
 
     def on_epoch(stats: EpochStats) -> None:
@@ -139,6 +147,7 @@ def cmd_train(args) -> int:
 
 
 def _train_tagging(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> int:
+    cfg.frontend.check_clip_patches(cfg.encoder.max_patches)
     tags = tag_name_list(records)
     clips = load_tagging_clips(records, cfg.frontend, tags, base_dir)
     model = CaptionerModel(cfg.encoder, None, num_tags=len(tags), seed=cfg.seed)
@@ -180,14 +189,14 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
         latest, resume_ckpt = _resume_checkpoint(out_dir)
         cfg = run_config_from_dict(resume_ckpt.config)
         start_epoch = (resume_ckpt.epoch or 0) + 1
+    cfg.frontend.check_clip_patches(cfg.encoder.max_patches)
 
     corpus = [tokenize_caption(rec.captions[0]) if rec.captions else []
               for rec in records]
     if any(not sent for sent in corpus):
         raise ValidationError("every caption-training record needs a caption")
     if resume_ckpt is not None:
-        vocab = Vocabulary(id_to_word=list(resume_ckpt.vocab),
-                           word_to_id={w: i for i, w in enumerate(resume_ckpt.vocab)})
+        vocab = Vocabulary(id_to_word=list(resume_ckpt.vocab))
     else:
         vocab = build_vocabulary(corpus, min_count=cfg.min_count)
     clips = load_caption_clips(records, cfg.frontend, vocab, base_dir)
@@ -209,9 +218,9 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
         if missing:
             raise ValidationError(f"{latest}: optimizer state lacks {missing}")
         for i, name in enumerate(param_names):
-            optimizer.state.m[i][...] = moments[f"m.{name}"]
-            optimizer.state.v[i][...] = moments[f"v.{name}"]
-        optimizer.state.step = resume_ckpt.optimizer_step
+            optimizer.m[i][...] = moments[f"m.{name}"]
+            optimizer.v[i][...] = moments[f"v.{name}"]
+        optimizer.t = resume_ckpt.optimizer_step
 
     def checkpoint(epoch: int, periodic: bool) -> Checkpoint:
         # only the periodic checkpoints that --resume reads carry Adam moments
@@ -220,7 +229,7 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
             vocab=vocab.id_to_word, tags=tags or None,
             tensors=model_state(model), epoch=epoch,
             optimizer=_optimizer_blobs(optimizer, param_names) if periodic else {},
-            optimizer_step=optimizer.state.step)
+            optimizer_step=optimizer.t)
 
     def train(on_epoch):
         return train_captioner(model, lambda epoch: training_examples(
@@ -229,7 +238,8 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
 
     if start_epoch > cfg.train.epochs:
         raise ValidationError("--resume: training already finished")
-    _fit(out_dir, cfg.train.checkpoint_every, train, checkpoint, "caption training done")
+    _fit(out_dir, cfg.train.checkpoint_every, train, checkpoint, "caption training done",
+         resume=args.resume)
     save_vocabulary(vocab, out_dir / "vocab.txt")
     return 0
 
@@ -245,8 +255,7 @@ def _caption_model_from_checkpoint(path: str) -> tuple[CaptionerModel, Vocabular
             f"{path}: checkpoint has no vocabulary (tagging checkpoint?); "
             "caption decoding needs a caption checkpoint")
     cfg = run_config_from_dict(ckpt.config)
-    vocab = Vocabulary(id_to_word=list(ckpt.vocab),
-                       word_to_id={w: i for i, w in enumerate(ckpt.vocab)})
+    vocab = Vocabulary(id_to_word=list(ckpt.vocab))
     model = CaptionerModel(cfg.encoder, dataclasses.replace(cfg.decoder, vocab_size=len(vocab)),
                            num_tags=len(ckpt.tags) if ckpt.tags else 1,
                            seed=cfg.seed)
@@ -256,6 +265,7 @@ def _caption_model_from_checkpoint(path: str) -> tuple[CaptionerModel, Vocabular
 
 def cmd_caption(args) -> int:
     model, vocab, cfg = _caption_model_from_checkpoint(args.checkpoint)
+    cfg.frontend.check_clip_patches(cfg.encoder.max_patches)
     beam = args.beam if args.beam is not None else cfg.decode.beam_size
     max_len = args.max_len if args.max_len is not None else cfg.decode.max_len
 
@@ -278,7 +288,7 @@ def cmd_caption(args) -> int:
         lines.append(f"{rec.clip_id}\t{' '.join(words)}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_atomic(args.out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     return 0
@@ -317,8 +327,8 @@ def cmd_eval(args) -> int:
               f"are not scored: {', '.join(uncovered)}", file=sys.stderr)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.txt").write_text(report.to_key_value_text(), encoding="utf-8")
-    (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
+    write_atomic(out_dir / "report.txt", report.to_key_value_text().encode("utf-8"))
+    write_atomic(out_dir / "report.json", report.to_json().encode("utf-8"))
     sys.stdout.write(report.to_key_value_text())
     return 0
 
@@ -366,13 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--pretrain-tagging", action="store_true",
-                   help="pretrain the encoder on audio tagging instead of "
-                        "training the captioner")
+    mode = p.add_mutually_exclusive_group()  # a tagging run always starts afresh
+    mode.add_argument("--pretrain-tagging", action="store_true",
+                      help="pretrain the encoder on audio tagging instead of "
+                           "training the captioner")
     p.add_argument("--init", default=None,
                    help="load encoder weights from a tagging checkpoint")
-    p.add_argument("--resume", action="store_true",
-                   help="continue from the latest periodic checkpoint in --out")
+    mode.add_argument("--resume", action="store_true",
+                      help="continue from the latest periodic checkpoint in --out")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("caption", help="caption a wav file or manifest")

@@ -125,13 +125,12 @@ class MultiHeadAttention:
         """Head-split key and value projections (B, h, Tk, d_k) of `xkv`."""
         return self._split(self.wk(xkv)), self._split(self.wv(xkv))
 
-    def __call__(self, xq: Tensor, xkv: Tensor | None = None,
-                 mask: np.ndarray | None = None,
-                 kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
-        """Attend from `xq` over `xkv`, or over precomputed `kv` (from
-        `keys_values`, whose batch axis may be 1 and broadcast)."""
+    def __call__(self, xq: Tensor, kv: tuple[Tensor, Tensor],
+                 mask: np.ndarray | None = None) -> Tensor:
+        """Attend from `xq` over head-split keys and values `kv` (from
+        `keys_values`; a batch axis of 1 broadcasts over `xq`'s)."""
         b, tq, _ = xq.shape
-        k, v = kv if kv is not None else self.keys_values(xkv)
+        k, v = kv
         tk = k.shape[2]
         if mask is not None and mask.shape != (tq, tk):
             raise ValueError(f"mask shape {mask.shape} does not match ({tq}, {tk})")
@@ -186,7 +185,8 @@ class EncoderLayer:
 
     def __call__(self, x: Tensor, train: bool, rng) -> Tensor:
         normed = self.ln1(x)
-        x = _residual(x, self.attn(normed, normed), self.dropout, train, rng)
+        x = _residual(x, self.attn(normed, self.attn.keys_values(normed)),
+                      self.dropout, train, rng)
         x = _residual(x, self.ffn(self.ln2(x), self.dropout, train, rng),
                       self.dropout, train, rng)
         return x
@@ -208,32 +208,22 @@ class DecoderLayer:
         self.ffn = FeedForward(cfg.d, cfg.ffn_dim, rng)
         self.dropout = cfg.dropout
 
-    def __call__(self, x: Tensor, memory: Tensor, causal_mask: np.ndarray,
-                 train: bool, rng) -> Tensor:
-        normed = self.ln1(x)
-        x = _residual(x, self.self_attn(normed, normed, mask=causal_mask),
-                      self.dropout, train, rng)
-        x = _residual(x, self.cross_attn(self.ln2(x), memory),
-                      self.dropout, train, rng)
-        x = _residual(x, self.ffn(self.ln3(x), self.dropout, train, rng),
-                      self.dropout, train, rng)
-        return x
-
-    def step(self, x: Tensor, self_kv: tuple[Tensor, Tensor] | None,
-             cross_kv: tuple[Tensor, Tensor]) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """One inference position: x (B, 1, d) is the newest row of each
-        live sequence, self_kv the self-attention keys and values of its
-        earlier positions (None at the first). Returns the layer output and
-        self_kv extended by this position; no mask is needed, since a row
-        only ever sees the positions before it."""
+    def __call__(self, x: Tensor, cross_kv: tuple[Tensor, Tensor], mask: np.ndarray | None,
+                 train: bool, rng, past_kv: tuple[Tensor, Tensor] | None = None
+                 ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+        """New positions x (B, T, d) attend over the self-attention keys and
+        values of earlier positions, `past_kv` (None: none), and of their own
+        under `mask`, then over the memory's `cross_kv`. Returns the output
+        and the self-attention keys and values of every position so far."""
         normed = self.ln1(x)
         k, v = self.self_attn.keys_values(normed)
-        if self_kv is not None:
-            k = ad.concat([self_kv[0], k], axis=2)
-            v = ad.concat([self_kv[1], v], axis=2)
-        x = ad.add(x, self.self_attn(normed, kv=(k, v)))
-        x = ad.add(x, self.cross_attn(self.ln2(x), kv=cross_kv))
-        x = ad.add(x, self.ffn(self.ln3(x), 0.0, False, None))
+        if past_kv is not None:
+            k = ad.concat([past_kv[0], k], axis=2)
+            v = ad.concat([past_kv[1], v], axis=2)
+        x = _residual(x, self.self_attn(normed, (k, v), mask), self.dropout, train, rng)
+        x = _residual(x, self.cross_attn(self.ln2(x), cross_kv), self.dropout, train, rng)
+        x = _residual(x, self.ffn(self.ln3(x), self.dropout, train, rng),
+                      self.dropout, train, rng)
         return x, (k, v)
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
@@ -374,7 +364,7 @@ class CaptionerModel:
         x = ad.embedding(self.word_embed, token_ids)
         mask = causal_mask(t)
         for layer in self.dec_layers:
-            x = layer(x, memory, mask, train, rng)
+            x, _ = layer(x, layer.cross_attn.keys_values(memory), mask, train, rng)
         return self.out_proj(self.dec_final_ln(x))
 
     def start_decoding(self, memory: Tensor) -> DecoderCache:
@@ -391,7 +381,8 @@ class CaptionerModel:
         with ad.no_grad():
             x = ad.embedding(self.word_embed, np.asarray(last_ids).reshape(-1, 1))
             for i, layer in enumerate(self.dec_layers):
-                x, cache.self_kv[i] = layer.step(x, cache.self_kv[i], cache.cross_kv[i])
+                x, cache.self_kv[i] = layer(x, cache.cross_kv[i], None, False, None,
+                                            cache.self_kv[i])
             return self.out_proj(self.dec_final_ln(x[:, 0]))
 
     def caption_logits(self, patches: np.ndarray, token_ids: np.ndarray,

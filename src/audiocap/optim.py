@@ -2,74 +2,44 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Tensor
 
-
-@dataclass
-class AdamState:
-    """Per-parameter first/second moments plus the shared step counter."""
-
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    @classmethod
-    def for_params(cls, params: Sequence[Tensor], beta1: float = 0.9,
-                   beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p.data) for p in params],
-            v=[np.zeros_like(p.data) for p in params],
-            beta1=beta1, beta2=beta2, epsilon=epsilon,
-        )
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
-def adam_step(params: Sequence[Tensor], state: AdamState, lr: float) -> None:
-    """One in-place Adam update from the grads currently on `params`.
-
-    Grads are left untouched; the caller resets them between steps.
-    """
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
-    if len(params) != len(state.m):
-        raise ValueError("optimizer state does not match parameter list")
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for p, m, v in zip(params, state.m, state.v):
-        g = p.grad
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
-
-
-@dataclass
 class Adam:
-    """Convenience wrapper pairing a parameter list with its AdamState."""
+    """Per-parameter first and second moments `m` and `v`, and the step
+    count `t` they share."""
 
-    params: list[Tensor]
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    state: AdamState = field(init=False)
-
-    def __post_init__(self):
-        self.params = list(self.params)
-        self.state = AdamState.for_params(
-            self.params, self.beta1, self.beta2, self.epsilon)
+    def __init__(self, params: Sequence[Tensor]):
+        self.params = list(params)
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = 0
 
     def step(self, lr: float) -> None:
-        adam_step(self.params, self.state, lr)
+        """One in-place update from the grads currently on the parameters.
+
+        Grads are left untouched; the caller resets them between steps.
+        """
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        self.t += 1
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
 
     def zero_grad(self) -> None:
         for p in self.params:

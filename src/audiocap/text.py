@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from .atomic import write_atomic
 
 PAD, SOS, EOS, UNK = 0, 1, 2, 3
 RESERVED = ("<pad>", "<sos>", "<eos>", "<unk>")
@@ -25,7 +27,10 @@ class Vocabulary:
     """Dense word<->id bijection with fixed reserved ids 0..3."""
 
     id_to_word: list[str]
-    word_to_id: dict[str, int]
+    word_to_id: dict[str, int] = field(init=False)
+
+    def __post_init__(self):
+        self.word_to_id = {w: i for i, w in enumerate(self.id_to_word)}
 
     def __len__(self) -> int:
         return len(self.id_to_word)
@@ -49,9 +54,7 @@ def build_vocabulary(corpus: Sequence[Sequence[str]], min_count: int = 1) -> Voc
     counts = Counter(w for sent in corpus for w in sent)
     kept = sorted((w for w, c in counts.items() if c >= min_count),
                   key=lambda w: (-counts[w], w))
-    id_to_word = list(RESERVED) + kept
-    return Vocabulary(id_to_word=id_to_word,
-                      word_to_id={w: i for i, w in enumerate(id_to_word)})
+    return Vocabulary(id_to_word=list(RESERVED) + kept)
 
 
 def encode(words: Iterable[str], vocab: Vocabulary) -> list[int]:
@@ -76,4 +79,4 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
         "# ids 0..3 are reserved: <pad> <sos> <eos> <unk>",
     ]
     lines.extend(vocab.id_to_word[len(RESERVED):])
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from audiocap import checkpoint
+from audiocap import atomic
 from audiocap.checkpoint import (FORMAT_VERSION, MAGIC, Checkpoint,
                                  load_checkpoint, load_model_state,
                                  model_state, save_checkpoint)
@@ -137,7 +137,7 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
                 raise OSError(28, "No space left on device")
             return self.f.write(data)
 
-    monkeypatch.setattr(checkpoint, "open", lambda *a: DiskFull(open(*a)), raising=False)
+    monkeypatch.setattr(atomic, "open", lambda *a: DiskFull(open(*a)), raising=False)
     with pytest.raises(OSError, match="No space"):
         save_checkpoint(path, Checkpoint(kind="caption", config={"run": 2}, vocab=None,
                                          tags=None, tensors={"w": np.zeros((2, 3))}))

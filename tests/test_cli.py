@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 from audiocap import autodiff, cli, data
-from audiocap.checkpoint import load_checkpoint, save_checkpoint
+from audiocap.checkpoint import Checkpoint, load_checkpoint, model_state, save_checkpoint
 from audiocap.cli import _load_config, build_parser, main
 from audiocap.config import (RunConfig, ValidationError, load_run_config,
-                             run_config_from_dict)
+                             run_config_from_dict, run_config_to_dict)
+from audiocap.model import CaptionerModel
 
 TINY_CONFIG = {
     "seed": 3,
@@ -117,6 +119,12 @@ def test_invalid_json_maps_to_exit_3(tmp_path, corpus, capsys):
     ({"train": {"base_lr": "0.1"}}, "train.base_lr"),
     ({"seed": None}, "seed"),
     ({"encoder": {"heads": 0}}, "encoder"),
+    ({"frontend": {"hop": -512}}, "frontend: hop"),
+    ({"frontend": {"window": 0}}, "frontend: window"),
+    ({"frontend": {"mel_bins": 0}}, "frontend: mel_bins"),
+    ({"frontend": {"frames_per_patch": 0}}, "frontend: frames_per_patch"),
+    ({"frontend": {"log_floor": 0}}, "frontend: log_floor"),
+    ({"frontend": {"log_floor": -1e-10}}, "frontend: log_floor"),
 ])
 def test_wrong_value_type_rejected(data, key):
     with pytest.raises(ValidationError, match=key):
@@ -397,6 +405,21 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, corpus):
         np.testing.assert_array_equal(arr, b.optimizer[name], err_msg=name)
 
 
+def test_fresh_train_replaces_earlier_run(tmp_path, corpus, capsys):
+    run = tmp_path / "run"
+    for seed, epochs in (("3", 4), ("9", 2)):
+        cfg = write_config(tmp_path, {"train.epochs": epochs, "train.checkpoint_every": 2})
+        assert main(["train", "--config", str(cfg), "--seed", seed,
+                     "--manifest", str(corpus / "captions.jsonl"),
+                     "--out", str(run)]) == 0
+    lines = (run / "metrics.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["epoch"] for line in lines] == [1, 2]
+    assert sorted(p.name for p in run.glob("ckpt_epoch_*.bin")) == ["ckpt_epoch_0002.bin"]
+    assert load_checkpoint(run / "ckpt_epoch_0002.bin").config["seed"] == 9
+    err = capsys.readouterr().err
+    assert "ckpt_epoch_0002.bin, ckpt_epoch_0004.bin" in err
+
+
 def test_resume_skips_truncated_latest_checkpoint(tmp_path, corpus, capsys):
     cfg = write_config(tmp_path, {"train.epochs": 4, "train.checkpoint_every": 1})
     full = tmp_path / "full"
@@ -476,9 +499,9 @@ def test_resume_restores_optimizer_moments(tmp_path, corpus, capsys, monkeypatch
         main(["train", "--manifest", str(corpus / "captions.jsonl"),
               "--out", str(resumed), "--resume"])
     optimizer, model, start_epoch = exc.value.args
-    assert start_epoch == 3 and optimizer.state.step == saved.optimizer_step
+    assert start_epoch == 3 and optimizer.t == saved.optimizer_step
     names = {id(p): n for n, p in model.named_parameters()}
-    for p, m, v in zip(optimizer.params, optimizer.state.m, optimizer.state.v):
+    for p, m, v in zip(optimizer.params, optimizer.m, optimizer.v):
         name = names[id(p)]
         np.testing.assert_array_equal(m, saved.optimizer[f"m.{name}"], err_msg=name)
         np.testing.assert_array_equal(v, saved.optimizer[f"v.{name}"], err_msg=name)
@@ -518,6 +541,34 @@ def test_resume_without_checkpoint_fails(tmp_path, corpus, capsys):
                  "--out", str(tmp_path / "empty"), "--resume"])
     assert code == 3
     assert "checkpoint" in capsys.readouterr().err
+
+
+def test_too_many_patches_exit_3_before_any_log_mel(tmp_path, corpus, capsys, monkeypatch):
+    # hop 64 makes 5,001 frames, 625 patches of 8, from a 10 s clip
+    def no_log_mel(*args):
+        raise AssertionError("compute_log_mel ran")
+
+    monkeypatch.setattr(data, "compute_log_mel", no_log_mel)
+    cfg = write_config(tmp_path, {"frontend": {"mel_bins": 16, "frames_per_patch": 8,
+                                               "hop": 64}})
+    for manifest, extra in (("captions.jsonl", []),
+                            ("tags.jsonl", ["--pretrain-tagging"])):
+        assert main(["train", "--config", str(cfg), "--manifest", str(corpus / manifest),
+                     "--out", str(tmp_path / "run"), *extra]) == 3
+        assert "625 patches" in capsys.readouterr().err
+
+    run_cfg = load_run_config(cfg)
+    model = CaptionerModel(run_cfg.encoder,
+                           dataclasses.replace(run_cfg.decoder, vocab_size=5), num_tags=1)
+    ckpt = tmp_path / "model.bin"
+    save_checkpoint(ckpt, Checkpoint(
+        kind="caption", config=run_config_to_dict(run_cfg),
+        vocab=["<pad>", "<sos>", "<eos>", "<unk>", "dog"], tags=None,
+        tensors=model_state(model)))
+    assert main(["caption", "--checkpoint", str(ckpt),
+                 "--input", str(corpus / "captions.jsonl")]) == 3
+    err = capsys.readouterr().err
+    assert "625 patches" in err and "max_patches 80" in err
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +690,14 @@ def test_gradcheck_deterministic_output(tmp_path, capsys):
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # missing required arguments
+    assert exc.value.code == 2
+
+
+def test_tagging_cannot_resume(tmp_path):
+    # a tagging run starts afresh and would remove the checkpoints --resume wants
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--pretrain-tagging", "--resume", "--manifest", "m.jsonl",
+              "--out", str(tmp_path)])
     assert exc.value.code == 2
 
 

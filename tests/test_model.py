@@ -84,7 +84,7 @@ def test_attention_single_key_weight_is_one():
     attn = MultiHeadAttention(8, 2, rng)
     xq = ad.Tensor(rand((1, 1, 8), 1))
     xkv = ad.Tensor(rand((1, 1, 8), 2))
-    out = attn(xq, xkv)
+    out = attn(xq, attn.keys_values(xkv))
     np.testing.assert_allclose(attn.last_weights, np.ones((1, 2, 1, 1)))
     v = xkv.data @ attn.wv.w.data
     np.testing.assert_allclose(out.data, v @ attn.wo.w.data, atol=1e-12)
@@ -95,7 +95,7 @@ def test_attention_identical_keys_uniform_weights():
     attn = MultiHeadAttention(8, 2, rng)
     xq = ad.Tensor(rand((1, 3, 8), 3))
     xkv = ad.Tensor(np.tile(rand((1, 1, 8), 4), (1, 5, 1)))
-    attn(xq, xkv)
+    attn(xq, attn.keys_values(xkv))
     np.testing.assert_allclose(attn.last_weights, np.full((1, 2, 3, 5), 0.2),
                                atol=1e-12)
 
@@ -105,7 +105,7 @@ def test_attention_matches_dense_oracle_single_head():
     rng = np.random.default_rng(2)
     attn = MultiHeadAttention(4, 1, rng)
     x = rand((2, 4), seed=5)
-    out = attn(ad.Tensor(x[None]), ad.Tensor(x[None])).data[0]
+    out = attn(ad.Tensor(x[None]), attn.keys_values(ad.Tensor(x[None]))).data[0]
 
     q, k, v = x @ attn.wq.w.data, x @ attn.wk.w.data, x @ attn.wv.w.data
     scores = q @ k.T / np.sqrt(4)
@@ -120,7 +120,7 @@ def test_attention_mask_shape_mismatch_rejected():
     attn = MultiHeadAttention(8, 2, rng)
     x = ad.Tensor(rand((1, 3, 8)))
     with pytest.raises(ValueError):
-        attn(x, x, mask=np.zeros((2, 2)))
+        attn(x, attn.keys_values(x), mask=np.zeros((2, 2)))
 
 
 def test_attention_rows_are_distributions():
@@ -192,6 +192,23 @@ def test_decoder_causality_bit_exact():
         mutated[0, j] = 8
         out = model.decode(mutated, memory).data
         assert out[0, :j].tobytes() == base[0, :j].tobytes()
+
+
+def test_decoder_layer_past_kv_matches_whole_prefix():
+    # one position at a time with past_kv builds the keys and values (and
+    # outputs) that the whole prefix under the causal mask does
+    model = small_model()
+    layer = model.dec_layers[0]
+    cross_kv = layer.cross_attn.keys_values(ad.Tensor(rand((2, 5, 16), 13)))
+    x = ad.Tensor(rand((2, 4, 16), 14))
+    whole, (k, v) = layer(x, cross_kv, causal_mask(4), False, None)
+    past_kv = None
+    for t in range(4):
+        out, past_kv = layer(x[:, t:t + 1], cross_kv, None, False, None, past_kv)
+        np.testing.assert_allclose(out.data, whole.data[:, t:t + 1], rtol=0, atol=1e-12)
+    assert past_kv[0].shape == k.shape == (2, 2, 4, 8)
+    np.testing.assert_allclose(past_kv[0].data, k.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(past_kv[1].data, v.data, rtol=0, atol=1e-12)
 
 
 def test_decoder_prefix_of_one():

@@ -3,7 +3,7 @@ import pytest
 
 from audiocap import autodiff as ad
 from audiocap.autodiff import Tensor
-from audiocap.optim import Adam, AdamState, adam_step
+from audiocap.optim import EPSILON, Adam
 
 
 def test_first_step_moves_by_lr_sign():
@@ -11,19 +11,18 @@ def test_first_step_moves_by_lr_sign():
     for g in (0.3, -2.0, 1e-3):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad[...] = g
-        state = AdamState.for_params([p])
-        adam_step([p], state, lr=0.01)
+        Adam([p]).step(lr=0.01)
         delta = p.data[0] - 1.0
-        tol = abs(0.01 * state.epsilon / (abs(g) + state.epsilon))
+        tol = abs(0.01 * EPSILON / (abs(g) + EPSILON))
         assert abs(delta - (-0.01 * np.sign(g))) <= tol + 1e-15
 
 
 def test_zero_grad_leaves_params_unchanged():
     p = Tensor(np.arange(4.0), requires_grad=True)
-    state = AdamState.for_params([p])
-    adam_step([p], state, lr=0.1)
+    opt = Adam([p])
+    opt.step(lr=0.1)
     np.testing.assert_array_equal(p.data, np.arange(4.0))
-    assert state.step == 1
+    assert opt.t == 1
 
 
 def test_two_steps_reduce_convex_quadratic():
@@ -46,10 +45,10 @@ def test_two_steps_reduce_convex_quadratic():
 
 def test_nonpositive_lr_rejected():
     p = Tensor(np.zeros(2), requires_grad=True)
-    state = AdamState.for_params([p])
+    opt = Adam([p])
     for lr in (0.0, -1e-3):
         with pytest.raises(ValueError):
-            adam_step([p], state, lr)
+            opt.step(lr)
 
 
 def test_step_counter_and_grads_untouched():
@@ -58,5 +57,5 @@ def test_step_counter_and_grads_untouched():
     opt = Adam([p])
     opt.step(0.01)
     opt.step(0.01)
-    assert opt.state.step == 2
+    assert opt.t == 2
     np.testing.assert_array_equal(p.grad, [1.5, 1.5])  # caller resets grads

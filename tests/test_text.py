@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from audiocap import atomic
 from audiocap.text import (EOS, PAD, RESERVED, SOS, UNK, Vocabulary,
                            build_vocabulary, decode, encode, save_vocabulary,
                            tokenize_caption)
@@ -123,3 +124,28 @@ def test_vocabulary_file_round_trip(tmp_path, vocab):
     words = [ln for ln in text.splitlines() if not ln.startswith("#")]
     # line k holds the word with id k + 4, after the 4 reserved ids
     assert list(RESERVED) + words == vocab.id_to_word
+
+
+def test_failed_vocabulary_write_keeps_previous_file(tmp_path, vocab, monkeypatch):
+    path = tmp_path / "vocab.txt"
+    save_vocabulary(vocab, path)
+    before = path.read_bytes()
+
+    class DiskFull:  # nothing written fits
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(atomic, "open", lambda *a: DiskFull(open(*a)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_vocabulary(build_vocabulary([["cat", "purrs"]]), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.txt"]

@@ -247,7 +247,7 @@ def test_non_finite_batch_loss_names_epoch_and_batch():
 
     with pytest.raises(NumericError, match="epoch 3, batch 2"):
         train_epoch([0, 1, 2, 3], batch_loss, cfg, optimizer, epoch=3)
-    assert optimizer.state.step == 1  # the non-finite batch took no step
+    assert optimizer.t == 1  # the non-finite batch took no step
 
 
 def test_non_finite_gradient_names_epoch_and_batch():
@@ -266,7 +266,7 @@ def test_non_finite_gradient_names_epoch_and_batch():
 
     with pytest.raises(NumericError, match="non-finite gradient at epoch 3, batch 2"):
         train_epoch([0, 1, 2, 3], batch_loss, cfg, optimizer, epoch=3)
-    assert optimizer.state.step == 1  # the non-finite gradient took no step
+    assert optimizer.t == 1  # the non-finite gradient took no step
     assert np.all(np.isfinite(w.data))
 
 
