@@ -3,7 +3,10 @@
 Only the primitives the captioning model needs: elementwise arithmetic with
 broadcasting, (batched) matmul, reductions, indexing, softmax/log-softmax,
 GELU, sigmoid forms, dropout and embedding lookup. Single-threaded graph
-semantics. Only leaves (tensors made with requires_grad=True) hold a `.grad`;
+semantics. A primitive's output keeps one edge, an (input, rule) pair, per
+input that requires grad: rule(g) maps the output's gradient g to that
+input's. Inputs that need no gradient get no edge, so their gradient is never
+computed. Only leaves (tensors made with requires_grad=True) hold a `.grad`;
 it accumulates until explicitly zeroed.
 """
 
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import erf
@@ -41,14 +44,13 @@ def no_grad():
 class Tensor:
     """Dense n-d float64 array with an optional gradient accumulator."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_edges")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], tuple] | None = None
+        self._edges: tuple[tuple[Tensor, Callable[[np.ndarray], np.ndarray]], ...] = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -117,12 +119,12 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
+def _make(data: np.ndarray, *edges: tuple[Tensor, Callable]) -> Tensor:
+    """A primitive's output, keeping the edges whose input requires grad."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+    if _GRAD_ENABLED:
+        out._edges = tuple(edge for edge in edges if edge[0].requires_grad)
+        out.requires_grad = bool(out._edges)
     return out
 
 
@@ -145,60 +147,49 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _make(
-        a.data + b.data, (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-    )
+    return _make(a.data + b.data,
+                 (a, lambda g: _unbroadcast(g, a.shape)),
+                 (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _make(
-        a.data - b.data, (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-    )
+    return _make(a.data - b.data,
+                 (a, lambda g: _unbroadcast(g, a.shape)),
+                 (b, lambda g: _unbroadcast(-g, b.shape)))
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return _make(-a.data, (a,), lambda g: (-g,))
+    return _make(-a.data, (a, lambda g: -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _make(
-        a.data * b.data, (a, b),
-        lambda g: (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
-        ),
-    )
+    return _make(a.data * b.data,
+                 (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def matmul(a, b) -> Tensor:
     """Matrix product on the last two axes; leading axes broadcast."""
     a, b = _as_tensor(a), _as_tensor(b)
-
-    def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-    return _make(np.matmul(a.data, b.data), (a, b), backward)
+    return _make(
+        np.matmul(a.data, b.data),
+        (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)),
+        (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)),
+    )
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    return _make(a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
 
 
 def transpose(a, axes=None) -> Tensor:
     a = _as_tensor(a)
-
-    def backward(g):
-        return (np.transpose(g, None if axes is None else np.argsort(axes)),)
-
-    return _make(np.transpose(a.data, axes), (a,), backward)
+    return _make(np.transpose(a.data, axes),
+                 (a, lambda g: np.transpose(g, None if axes is None else np.argsort(axes))))
 
 
 def getitem(a, idx) -> Tensor:
@@ -210,34 +201,36 @@ def getitem(a, idx) -> Tensor:
                                        or isinstance(i, (int, np.integer, slice))):
             raise TypeError(f"getitem takes ints, slices and ..., got {idx!r}")
 
-    def backward(g):
+    def rule(g):
         ga = np.zeros_like(a.data)
         ga[idx] = g  # a basic index selects each element at most once
-        return (ga,)
+        return ga
 
-    return _make(a.data[idx], (a,), backward)
+    return _make(a.data[idx], (a, rule))
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     parts = [_as_tensor(t) for t in tensors]
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    out = np.concatenate([p.data for p in parts], axis=axis)
+    lead = (slice(None),) * (axis % out.ndim)
 
-    def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
+    def part(start, stop):
+        return lambda g: g[lead + (slice(start, stop),)]
 
-    return _make(np.concatenate([p.data for p in parts], axis=axis), parts, backward)
+    stops = np.cumsum([p.shape[axis] for p in parts])
+    return _make(out, *((p, part(stop - p.shape[axis], stop))
+                        for p, stop in zip(parts, stops)))
 
 
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
 
-    def backward(g):
+    def rule(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape),)
+        return np.broadcast_to(g, a.shape)
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a, rule))
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -246,29 +239,29 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
         [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
 
-    def backward(g):
+    def rule(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape) / n,)
+        return np.broadcast_to(g, a.shape) / n
 
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
+    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a, rule))
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     out_data = np.exp(a.data)
-    return _make(out_data, (a,), lambda g: (g * out_data,))
+    return _make(out_data, (a, lambda g: g * out_data))
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+    return _make(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def power(a, p: float) -> Tensor:
     """Elementwise a**p for a constant real exponent."""
     a = _as_tensor(a)
-    return _make(a.data ** p, (a,), lambda g: (g * p * a.data ** (p - 1.0),))
+    return _make(a.data ** p, (a, lambda g: g * p * a.data ** (p - 1.0)))
 
 
 def sigmoid(a) -> Tensor:
@@ -276,7 +269,7 @@ def sigmoid(a) -> Tensor:
     x = a.data
     out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                         np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    return _make(out_data, (a,), lambda g: (g * out_data * (1.0 - out_data),))
+    return _make(out_data, (a, lambda g: g * out_data * (1.0 - out_data)))
 
 
 def logsigmoid(a) -> Tensor:
@@ -285,12 +278,12 @@ def logsigmoid(a) -> Tensor:
     x = a.data
     out_data = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
 
-    def backward(g):
+    def rule(g):
         s = np.where(x >= 0, np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
                      1.0 / (1.0 + np.exp(-np.abs(x))))
-        return (g * s,)  # d/dx log sigmoid(x) = sigmoid(-x)
+        return g * s  # d/dx log sigmoid(x) = sigmoid(-x)
 
-    return _make(out_data, (a,), backward)
+    return _make(out_data, (a, rule))
 
 
 def gelu(a) -> Tensor:
@@ -299,11 +292,11 @@ def gelu(a) -> Tensor:
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
 
-    def backward(g):
+    def rule(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        return (g * (cdf + x * pdf),)
+        return g * (cdf + x * pdf)
 
-    return _make(x * cdf, (a,), backward)
+    return _make(x * cdf, (a, rule))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -315,11 +308,11 @@ def softmax(a, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
 
-    def backward(g):
+    def rule(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
-        return (out_data * (g - dot),)
+        return out_data * (g - dot)
 
-    return _make(out_data, (a,), backward)
+    return _make(out_data, (a, rule))
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
@@ -328,11 +321,8 @@ def log_softmax(a, axis: int = -1) -> Tensor:
         raise ValueError(f"log_softmax axis {axis} out of range for shape {a.shape}")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-    def backward(g):
-        return (g - np.exp(out_data) * g.sum(axis=axis, keepdims=True),)
-
-    return _make(out_data, (a,), backward)
+    return _make(out_data,
+                 (a, lambda g: g - np.exp(out_data) * g.sum(axis=axis, keepdims=True)))
 
 
 def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
@@ -341,9 +331,9 @@ def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
-        return _make(a.data.copy(), (a,), lambda g: (g,))
+        return _make(a.data.copy(), (a, lambda g: g))
     keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    return _make(a.data * keep, (a,), lambda g: (g * keep,))
+    return _make(a.data * keep, (a, lambda g: g * keep))
 
 
 def embedding(weight, ids: np.ndarray) -> Tensor:
@@ -362,12 +352,12 @@ def embedding(weight, ids: np.ndarray) -> Tensor:
         rows = np.arange(ids.shape[0]).reshape((-1,) + (1,) * (ids.ndim - 1))
         return Tensor(weight.data[rows, ids])
 
-    def backward(g):
+    def rule(g):
         gw = np.zeros_like(weight.data)
         np.add.at(gw, ids.reshape(-1), g.reshape(-1, weight.shape[1]))
-        return (gw,)
+        return gw
 
-    return _make(weight.data[ids], (weight,), backward)
+    return _make(weight.data[ids], (weight, rule))
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -380,13 +370,14 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
     xhat = centered * inv
 
-    def backward(g):
+    def x_rule(g):
         gx = g * gamma.data
-        dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
-                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-        return (dx, _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape))
+        return inv * (gx - gx.mean(axis=-1, keepdims=True)
+                      - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
 
-    return _make(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
+    return _make(xhat * gamma.data + beta.data, (x, x_rule),
+                 (gamma, lambda g: _unbroadcast(g * xhat, gamma.shape)),
+                 (beta, lambda g: _unbroadcast(g, beta.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,26 +412,23 @@ def backward(loss: Tensor) -> None:
             raise RuntimeError("cycle detected in computation graph")
         state[id(node)] = 1
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad:
-                st_p = state.get(id(p), 0)
-                if st_p == 1:
-                    raise RuntimeError("cycle detected in computation graph")
-                if st_p == 0:
-                    stack.append((p, False))
+        for p, _ in node._edges:
+            st_p = state.get(id(p), 0)
+            if st_p == 1:
+                raise RuntimeError("cycle detected in computation graph")
+            if st_p == 0:
+                stack.append((p, False))
 
+    # each node but `loss` is an edge's input of a node before it, so each
+    # has a gradient by the time it is reached
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = flowing.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward is None:
+        g = flowing.pop(id(node))
+        if not node._edges:
             node.grad += g
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
-            if not parent.requires_grad or pg is None:
-                continue
+        for parent, rule in node._edges:
+            pg = rule(g)
             acc = flowing.get(id(parent))
-            # never in place: an op may hand the same array to several parents
+            # never in place: a rule may hand its incoming array to an input
             flowing[id(parent)] = pg if acc is None else acc + pg
-

@@ -103,24 +103,32 @@ def _optimizer_blobs(optimizer: Adam, names: list[str]) -> dict[str, np.ndarray]
 
 
 def _fit(out_dir: Path, every: int, train, checkpoint, done: str,
-         resume: bool = False) -> None:
+         resumed_epoch: int | None = None) -> None:
     """Run `train(on_epoch)`, appending each epoch to metrics.jsonl, writing
     ckpt_epoch_NNNN.bin every `every` epochs (0: never) and model.bin at the
-    end. `checkpoint(epoch, periodic)` builds what is written. Unless it
-    resumes, the run replaces an earlier one in `out_dir`: metrics.jsonl
-    starts empty and the earlier periodic checkpoints are removed."""
-    if not resume:
+    end. `checkpoint(epoch, periodic)` builds what is written. A run resumed
+    after epoch `resumed_epoch` drops the metrics.jsonl lines past it; any
+    other run replaces an earlier one in `out_dir`: metrics.jsonl starts
+    empty and the earlier periodic checkpoints are removed."""
+    metrics = out_dir / "metrics.jsonl"
+    if resumed_epoch is None:
         stale = sorted(out_dir.glob("ckpt_epoch_*.bin"))
         if stale:
             print(f"removing the earlier run's checkpoints: "
                   f"{', '.join(p.name for p in stale)}", file=sys.stderr)
         for path in stale:
             path.unlink()
-        (out_dir / "metrics.jsonl").write_text("", encoding="utf-8")
+        metrics.write_text("", encoding="utf-8")
+    elif metrics.exists():
+        # the interrupted run may have logged epochs past its last checkpoint,
+        # the last line perhaps cut short (no newline)
+        kept = [line for line in metrics.read_text(encoding="utf-8").splitlines(True)
+                if line.endswith("\n") and json.loads(line)["epoch"] <= resumed_epoch]
+        write_atomic(metrics, "".join(kept).encode("utf-8"))
     start = time.monotonic()
 
     def on_epoch(stats: EpochStats) -> None:
-        with open(out_dir / "metrics.jsonl", "a", encoding="utf-8") as f:
+        with open(metrics, "a", encoding="utf-8") as f:
             f.write(json.dumps({
                 "epoch": stats.epoch, "lr": stats.lr, "loss": stats.mean_loss,
                 "wall_time": round(time.monotonic() - start, 3),
@@ -170,11 +178,8 @@ def _build_caption_model(cfg: RunConfig, vocab: Vocabulary,
     dec_cfg = dataclasses.replace(cfg.decoder, vocab_size=len(vocab))
     word_embeddings = None
     if cfg.word2vec.enabled:
-        dim = cfg.word2vec.dim or dec_cfg.d
-        if dim != dec_cfg.d:
-            raise ValidationError("word2vec.dim must match the decoder dim")
         result = train_skipgram(
-            corpus, vocab, dim=dim, window=cfg.word2vec.window,
+            corpus, vocab, dim=dec_cfg.d, window=cfg.word2vec.window,
             negatives=cfg.word2vec.negatives, epochs=cfg.word2vec.epochs,
             seed=cfg.seed, lr=cfg.word2vec.lr)
         word_embeddings = result.embeddings
@@ -239,7 +244,7 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
     if start_epoch > cfg.train.epochs:
         raise ValidationError("--resume: training already finished")
     _fit(out_dir, cfg.train.checkpoint_every, train, checkpoint, "caption training done",
-         resume=args.resume)
+         resumed_epoch=start_epoch - 1 if args.resume else None)
     save_vocabulary(vocab, out_dir / "vocab.txt")
     return 0
 

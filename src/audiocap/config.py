@@ -63,6 +63,10 @@ class RunConfig:
             raise ValidationError(
                 f"encoder.patch_dim {self.encoder.patch_dim} must equal "
                 f"frames_per_patch * mel_bins = {expected}")
+        if self.word2vec.enabled and self.word2vec.dim not in (0, self.decoder.d):
+            raise ValidationError(
+                f"word2vec.dim {self.word2vec.dim} must be 0 or the decoder dim "
+                f"{self.decoder.d}")
 
 
 def _fits(default, value) -> bool:

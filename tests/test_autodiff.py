@@ -215,6 +215,35 @@ def test_backward_shared_gradient_array_is_not_mutated():
     np.testing.assert_array_equal(c.grad, np.ones(3))
 
 
+# (shape of the input that requires grad, op with one constant input)
+CONSTANT_INPUT_CASES = {
+    "mul_by_scale": ((2, 3, 4), lambda t: ad.mul(t, 0.125)),
+    "matmul_constant_patches": ((6, 4), lambda t: ad.matmul(Tensor(rand((2, 5, 6), 1)), t)),
+    "add_causal_mask": ((2, 3, 4, 4), lambda t: ad.add(
+        t, Tensor(np.triu(np.full((4, 4), -1e9), 1)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_INPUT_CASES))
+def test_constant_input_gets_no_edge_and_no_gradient(name, monkeypatch):
+    # every rule of these ops sums its gradient down to its input's shape, so
+    # the shapes `_unbroadcast` sees are the inputs whose rules ran
+    shape, f = CONSTANT_INPUT_CASES[name]
+    x = Tensor(rand(shape), requires_grad=True)
+    out = f(x)
+    assert [t for t, _ in out._edges] == [x]
+    seen = []
+    true_unbroadcast = ad._unbroadcast
+
+    def recording(grad, to_shape):
+        seen.append(to_shape)
+        return true_unbroadcast(grad, to_shape)
+
+    monkeypatch.setattr(ad, "_unbroadcast", recording)
+    ad.backward(ad.sum_(out))
+    assert seen == [shape]
+
+
 def test_backward_same_tensor_used_twice():
     x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
     ad.backward(ad.sum_(ad.mul(x, x)))  # d/dx sum(x^2) = 2x
@@ -253,12 +282,16 @@ FD_CASES = {
     "add_broadcast": ((3,), lambda t: ad.sum_(ad.add(Tensor(rand((2, 3), 1)), t))),
     "sub": ((2, 3), lambda t: ad.sum_(ad.sub(t, Tensor(rand((2, 3), 1))))),
     "mul": ((2, 3), lambda t: ad.sum_(ad.mul(t, Tensor(rand((2, 3), 1))))),
+    "mul_both_inputs": ((2, 3), lambda t: ad.sum_(ad.mul(
+        ad.exp(t), ad.sum_(t, axis=0, keepdims=True)))),
     "neg": ((4,), lambda t: ad.sum_(ad.neg(t))),
     "matmul": ((3, 4), lambda t: ad.sum_(ad.matmul(t, Tensor(rand((4, 2), 1))))),
     "matmul_batched": ((2, 3, 4), lambda t: ad.sum_(
         ad.matmul(t, Tensor(rand((2, 4, 2), 1))))),
     "matmul_bcast_rhs": ((4, 2), lambda t: ad.sum_(
         ad.matmul(Tensor(rand((2, 3, 4), 1)), t))),
+    "matmul_both_inputs": ((3, 4), lambda t: ad.sum_(ad.mul(
+        ad.matmul(ad.transpose(t), ad.exp(t)), Tensor(rand((4, 4), 1))))),
     "reshape": ((2, 6), lambda t: ad.sum_(ad.mul(ad.reshape(t, (3, 4)),
                                                  Tensor(rand((3, 4), 1))))),
     "transpose": ((2, 3, 4), lambda t: ad.sum_(ad.mul(
@@ -270,6 +303,9 @@ FD_CASES = {
         t[..., :2, :], Tensor(rand((2, 2, 3), 1))))),
     "concat": ((2, 3), lambda t: ad.sum_(ad.mul(
         ad.concat([t, t], axis=0), Tensor(rand((4, 3), 1))))),
+    "concat_negative_axis_constant_middle": ((2, 3), lambda t: ad.sum_(ad.mul(
+        ad.concat([t, Tensor(rand((2, 2), 1)), ad.exp(t)], axis=-1),
+        Tensor(rand((2, 8), 2))))),
     "sum_axis": ((3, 4), lambda t: ad.sum_(ad.mul(
         ad.sum_(t, axis=1), Tensor(rand((3,), 1))))),
     "mean_axis": ((3, 4), lambda t: ad.sum_(ad.mul(
@@ -373,4 +409,6 @@ def test_no_grad_blocks_recording():
     x = Tensor(rand((3,)), requires_grad=True)
     with ad.no_grad():
         y = ad.sum_(x)
-    assert not y.requires_grad
+        z = ad.mul(x, x)
+    assert not y.requires_grad and not z.requires_grad
+    assert y._edges == () and z._edges == ()

@@ -405,6 +405,26 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, corpus):
         np.testing.assert_array_equal(arr, b.optimizer[name], err_msg=name)
 
 
+def test_resume_drops_metrics_logged_past_the_checkpoint(tmp_path, corpus):
+    cfg = write_config(tmp_path, {"train.epochs": 4, "train.checkpoint_every": 2})
+    full = tmp_path / "full"
+    assert main(["train", "--config", str(cfg),
+                 "--manifest", str(corpus / "captions.jsonl"),
+                 "--out", str(full)]) == 0
+    (full / "ckpt_epoch_0004.bin").unlink()
+    logged = (full / "metrics.jsonl").read_text(encoding="utf-8")
+    # as interrupted after logging epoch 4, and while writing epoch 4's line
+    for name, text in (("after", logged), ("during", logged[:-20])):
+        run = tmp_path / name
+        shutil.copytree(full, run)
+        (run / "metrics.jsonl").write_text(text, encoding="utf-8")
+        assert main(["train", "--manifest", str(corpus / "captions.jsonl"),
+                     "--out", str(run), "--resume"]) == 0
+        lines = (run / "metrics.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["epoch"] for line in lines] == [1, 2, 3, 4], name
+        assert lines[:2] == logged.splitlines()[:2], name
+
+
 def test_fresh_train_replaces_earlier_run(tmp_path, corpus, capsys):
     run = tmp_path / "run"
     for seed, epochs in (("3", 4), ("9", 2)):
@@ -543,6 +563,20 @@ def test_resume_without_checkpoint_fails(tmp_path, corpus, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+def test_word2vec_dim_mismatch_exit_3_before_any_log_mel(tmp_path, corpus, capsys,
+                                                        monkeypatch):
+    def no_log_mel(*args):
+        raise AssertionError("compute_log_mel ran")
+
+    monkeypatch.setattr(data, "compute_log_mel", no_log_mel)
+    cfg = write_config(tmp_path, {"word2vec.dim": 8})  # the decoder dim is 16
+    assert main(["train", "--config", str(cfg), "--manifest", str(corpus / "captions.jsonl"),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert "word2vec.dim 8 must be 0 or the decoder dim 16" in capsys.readouterr().err
+    # without word2vec the dim is not read
+    load_run_config(write_config(tmp_path, {"word2vec": {"enabled": False, "dim": 8}}))
+
+
 def test_too_many_patches_exit_3_before_any_log_mel(tmp_path, corpus, capsys, monkeypatch):
     # hop 64 makes 5,001 frames, 625 patches of 8, from a 10 s clip
     def no_log_mel(*args):
@@ -620,8 +654,9 @@ def test_nan_gradient_stops_training_with_exit_3(tmp_path, corpus, capsys, monke
 
     def nan_gelu(a):
         out = true_gelu(a)
-        if out._backward is not None:
-            out._backward = lambda g: (np.full_like(g, np.nan),)
+        if out._edges:
+            (x, _), = out._edges
+            out._edges = ((x, lambda g: np.full_like(g, np.nan)),)
         return out
 
     monkeypatch.setattr(autodiff, "gelu", nan_gelu)
@@ -661,9 +696,9 @@ def test_gradcheck_detects_corrupted_backward(tmp_path, monkeypatch, capsys):
 
     def broken_gelu(a):
         out = true_gelu(a)
-        if out._backward is not None:
-            good = out._backward
-            out._backward = lambda g: tuple(1.5 * pg for pg in good(g))
+        if out._edges:
+            (x, rule), = out._edges
+            out._edges = ((x, lambda g: 1.5 * rule(g)),)
         return out
 
     monkeypatch.setattr(autodiff, "gelu", broken_gelu)
