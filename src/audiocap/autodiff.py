@@ -70,49 +70,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; constants are wrapped as non-grad tensors
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes or None)
 
 
 def _as_tensor(x) -> Tensor:
@@ -264,11 +223,16 @@ def power(a, p: float) -> Tensor:
     return _make(a.data ** p, (a, lambda g: g * p * a.data ** (p - 1.0)))
 
 
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) on a numpy array, without overflow: exp is only
+    taken of -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out_data = stable_sigmoid(a.data)
     return _make(out_data, (a, lambda g: g * out_data * (1.0 - out_data)))
 
 
@@ -277,13 +241,8 @@ def logsigmoid(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
     out_data = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
-
-    def rule(g):
-        s = np.where(x >= 0, np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
-                     1.0 / (1.0 + np.exp(-np.abs(x))))
-        return g * s  # d/dx log sigmoid(x) = sigmoid(-x)
-
-    return _make(out_data, (a, rule))
+    # d/dx log sigmoid(x) = sigmoid(-x)
+    return _make(out_data, (a, lambda g: g * stable_sigmoid(-x)))
 
 
 def gelu(a) -> Tensor:
@@ -395,28 +354,22 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         return
 
-    # iterative topological sort; state 1 = on stack, 2 = done
+    # post-order walk; a define-by-run graph has no cycle, since _make only
+    # links a new node to tensors that already exist
     topo: list[Tensor] = []
-    state: dict[int, int] = {}
+    seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
-            state[id(node)] = 2
             topo.append(node)
             continue
-        st = state.get(id(node), 0)
-        if st == 2:
+        if id(node) in seen:
             continue
-        if st == 1:
-            raise RuntimeError("cycle detected in computation graph")
-        state[id(node)] = 1
+        seen.add(id(node))
         stack.append((node, True))
         for p, _ in node._edges:
-            st_p = state.get(id(p), 0)
-            if st_p == 1:
-                raise RuntimeError("cycle detected in computation graph")
-            if st_p == 0:
+            if id(p) not in seen:
                 stack.append((p, False))
 
     # each node but `loss` is an edge's input of a node before it, so each

@@ -192,6 +192,10 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
     resume_ckpt = None
     if args.resume:
         latest, resume_ckpt = _resume_checkpoint(out_dir)
+        if resume_ckpt.vocab is None:
+            raise ValidationError(
+                f"{latest}: checkpoint has no vocabulary (tagging checkpoint?); "
+                "--resume needs a caption checkpoint")
         cfg = run_config_from_dict(resume_ckpt.config)
         start_epoch = (resume_ckpt.epoch or 0) + 1
     cfg.frontend.check_clip_patches(cfg.encoder.max_patches)

@@ -40,10 +40,6 @@ class EncoderConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
-    @property
-    def d_k(self) -> int:
-        return self.d // self.heads
-
 
 @dataclass
 class DecoderConfig:

@@ -73,15 +73,13 @@ def smoothed_targets(targets: np.ndarray, k: int, smoothing: float,
 # row by row in numpy, bit for bit; a change to either is made there too
 def label_smoothed_ce(logits: Tensor, targets: np.ndarray,
                       smoothing: float = 0.0, pad_id: int = PAD) -> Tensor:
-    """Mean negative log-likelihood under smoothed targets.
+    """Mean negative log-likelihood of logits (B, T, K) under smoothed
+    integer targets (B, T).
 
     The true class receives (1 - eps) + eps/K and every other class eps/K.
     Positions whose target is pad_id are excluded from the mean.
     """
     targets = np.asarray(targets)
-    if logits.ndim == 2:
-        logits = ad.reshape(logits, (1,) + logits.shape)
-        targets = targets[None, :]
     b, t, k = logits.shape
     if targets.shape != (b, t):
         raise ValueError(f"targets shape {targets.shape} does not match logits {(b, t)}")

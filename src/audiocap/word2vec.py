@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import stable_sigmoid
 from .text import Vocabulary
 
 
@@ -25,11 +26,6 @@ def skipgram_pairs(sentence: list[int], window: int) -> list[tuple[int, int]]:
             if j != i:
                 pairs.append((center, sentence[j]))
     return pairs
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
 def train_skipgram(corpus: list[list[str]], vocab: Vocabulary, dim: int,
@@ -74,7 +70,7 @@ def train_skipgram(corpus: list[list[str]], vocab: Vocabulary, dim: int,
             labels[0] = 1.0
             u = w_out[targets]
             scores = u @ v
-            probs = _sigmoid(scores)
+            probs = stable_sigmoid(scores)
             total += -(np.log(np.maximum(1e-12, np.where(labels == 1, probs, 1 - probs)))).sum()
             err = probs - labels  # d loss / d score
             grad_v = err @ u

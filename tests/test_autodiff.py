@@ -139,6 +139,34 @@ def test_gelu_values():
 
 
 # ---------------------------------------------------------------------------
+# sigmoid
+# ---------------------------------------------------------------------------
+
+def test_stable_sigmoid_and_gradients_at_extremes():
+    x = np.array([-1000.0, -40.0, -0.0, 0.0, 40.0, 1000.0])
+
+    def three_exp_sigmoid(v):  # the formula stable_sigmoid replaced
+        return np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
+                        np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+
+    def grad_of(primitive):
+        t = Tensor(x, requires_grad=True)
+        ad.backward(ad.sum_(primitive(t)))
+        return t.grad
+
+    s = three_exp_sigmoid(x)
+    cases = {
+        "stable_sigmoid": (ad.stable_sigmoid(x), s, 0.5),
+        "sigmoid grad": (grad_of(ad.sigmoid), s * (1.0 - s), 0.25),
+        "logsigmoid grad": (grad_of(ad.logsigmoid), three_exp_sigmoid(-x), 0.5),
+    }
+    for name, (got, oracle, at_zero) in cases.items():
+        assert np.all(np.isfinite(got)) and np.all((got >= 0.0) & (got <= 1.0)), name
+        assert got[2] == got[3] == at_zero, name
+        assert got.tobytes() == oracle.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
 

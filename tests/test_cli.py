@@ -563,6 +563,23 @@ def test_resume_without_checkpoint_fails(tmp_path, corpus, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+def test_resume_from_tagging_checkpoint_fails(tmp_path, corpus, capsys):
+    # a tagging run with periodic checkpoints leaves the newest ckpt_epoch_*
+    # in --out, and it has no vocabulary to resume captioning from
+    cfg = write_config(tmp_path, {"pretrain.epochs": 1, "pretrain.batch_size": 4,
+                                  "pretrain.checkpoint_every": 1})
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--manifest", str(corpus / "tags.jsonl"),
+                 "--out", str(run), "--pretrain-tagging"]) == 0
+    capsys.readouterr()
+    code = main(["train", "--manifest", str(corpus / "captions.jsonl"),
+                 "--out", str(run), "--resume"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert str(run / "ckpt_epoch_0001.bin") in err
+    assert "Traceback" not in err
+
+
 def test_word2vec_dim_mismatch_exit_3_before_any_log_mel(tmp_path, corpus, capsys,
                                                         monkeypatch):
     def no_log_mel(*args):

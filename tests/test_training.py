@@ -34,16 +34,16 @@ def logits_for(probs):
 
 def test_ce_perfect_prediction_zero_loss():
     # near-one probability on every target
-    probs = np.full((3, 4), 1e-12)
+    probs = np.full((1, 3, 4), 1e-12)
     for t, y in enumerate([0, 2, 1]):
-        probs[t, y] = 1.0
-    loss = label_smoothed_ce(logits_for(probs), np.array([0, 2, 1]), smoothing=0.0)
+        probs[0, t, y] = 1.0
+    loss = label_smoothed_ce(logits_for(probs), np.array([[0, 2, 1]]), smoothing=0.0)
     assert loss.item() < 1e-9
 
 
 def test_ce_uniform_logits_is_log_vocab():
-    logits = Tensor(np.zeros((5, 7)))
-    loss = label_smoothed_ce(logits, np.array([0, 1, 2, 3, 4]), smoothing=0.0)
+    logits = Tensor(np.zeros((1, 5, 7)))
+    loss = label_smoothed_ce(logits, np.array([[0, 1, 2, 3, 4]]), smoothing=0.0)
     assert abs(loss.item() - np.log(7)) < 1e-12
 
 
@@ -51,40 +51,41 @@ def test_ce_smoothing_hand_oracle():
     # eps=0.1, K=4, p=(0.7,0.1,0.1,0.1), target class 0:
     # -(0.925*ln 0.7 + 3*0.025*ln 0.1) = 0.5026182051 (high-precision eval);
     # pad exclusion disabled so class 0 is an ordinary target
-    loss = label_smoothed_ce(logits_for([[0.7, 0.1, 0.1, 0.1]]),
-                             np.array([0]), smoothing=0.1, pad_id=-1)
+    loss = label_smoothed_ce(logits_for([[[0.7, 0.1, 0.1, 0.1]]]),
+                             np.array([[0]]), smoothing=0.1, pad_id=-1)
     assert abs(loss.item() - 0.5026182051) < 1e-9
 
 
 def test_ce_matches_plain_nll_when_unsmoothed():
     rng = np.random.default_rng(0)
-    logits = rng.normal(size=(6, 9))
-    targets = rng.integers(4, 9, size=6)
+    logits = rng.normal(size=(1, 6, 9))
+    targets = rng.integers(4, 9, size=(1, 6))
     loss = label_smoothed_ce(Tensor(logits), targets, smoothing=0.0)
     logp = ad.log_softmax(Tensor(logits), axis=-1).data
-    direct = -np.mean([logp[t, y] for t, y in enumerate(targets)])
+    direct = -np.mean([logp[0, t, y] for t, y in enumerate(targets[0])])
     assert abs(loss.item() - direct) < 1e-12
 
 
 def test_ce_excludes_pad_positions():
     rng = np.random.default_rng(1)
-    logits = rng.normal(size=(4, 6))
-    with_pad = label_smoothed_ce(Tensor(logits), np.array([4, 5, PAD, PAD]), 0.0)
-    without = label_smoothed_ce(Tensor(logits[:2]), np.array([4, 5]), 0.0)
+    logits = rng.normal(size=(1, 4, 6))
+    with_pad = label_smoothed_ce(Tensor(logits), np.array([[4, 5, PAD, PAD]]), 0.0)
+    without = label_smoothed_ce(Tensor(logits[:, :2]), np.array([[4, 5]]), 0.0)
     assert abs(with_pad.item() - without.item()) < 1e-12
 
 
 def test_ce_rejects_out_of_range_target():
-    with pytest.raises(ValueError):
-        label_smoothed_ce(Tensor(np.zeros((2, 5))), np.array([1, 5]), 0.0)
+    with pytest.raises(ValueError, match="out of range"):
+        label_smoothed_ce(Tensor(np.zeros((1, 2, 5))), np.array([[1, 5]]), 0.0)
 
 
 def test_ce_batched_matches_flat():
+    # the same six positions as a (2, 3) batch and as one row of six
     rng = np.random.default_rng(2)
     logits = rng.normal(size=(2, 3, 5))
     targets = np.array([[4, 3, 2], [1, 2, 4]])
     batched = label_smoothed_ce(Tensor(logits), targets, smoothing=0.1)
-    flat = label_smoothed_ce(Tensor(logits.reshape(6, 5)), targets.reshape(6),
+    flat = label_smoothed_ce(Tensor(logits.reshape(1, 6, 5)), targets.reshape(1, 6),
                              smoothing=0.1)
     assert abs(batched.item() - flat.item()) < 1e-12
 
