@@ -5,15 +5,17 @@ Runs in this process, in a temporary directory: synthesizes the seed-7
 8-clip corpus, pretrains tagging for 3 epochs, trains the captioner for 12
 epochs from the tagging encoder (dropout 0.1, label smoothing 0.1, a
 checkpoint every 6 epochs), captions at beam 1, 3 and 5, scores each set of
-captions, and runs `gradcheck`. Prints one `sha256  name` line per output,
-so that two checkouts produce the same bytes exactly when `diff` of their
-fingerprints is empty:
+captions, and runs `gradcheck`. At each beam it also captions every clip as
+its own `--input clip.wav` and exits non-zero if a line differs from the
+manifest run's, whose clips are searched in lockstep. Prints one
+`sha256  name` line per output, so that two checkouts produce the same bytes
+exactly when `diff` of their fingerprints is empty:
 
     PYTHONPATH=src python3 scripts/fingerprint.py > after.txt
     PYTHONPATH=<other checkout>/src python3 scripts/fingerprint.py > before.txt
     diff before.txt after.txt
 
-Logged losses are hashed without `wall_time`. Takes about 15 s on 2 cores.
+Logged losses are hashed without `wall_time`. Takes about 20 s on 2 cores.
 """
 
 import os
@@ -80,6 +82,13 @@ def main() -> None:
             tsv = work / f"captions_beam{beam}.tsv"
             run("caption", "--checkpoint", work / "caption" / "model.bin",
                 "--input", corpus / "captions.jsonl", "--beam", beam, "--out", tsv)
+            for line in tsv.read_text(encoding="utf-8").splitlines():
+                clip = line.split("\t", 1)[0]
+                alone = run("caption", "--checkpoint", work / "caption" / "model.bin",
+                            "--input", corpus / f"{clip}.wav", "--beam", beam)
+                if alone != line + "\n":
+                    sys.exit(f"beam {beam}: {clip} alone gives {alone.strip()!r}, "
+                             f"in the manifest {line!r}")
             run("eval", "--candidates", tsv, "--references", corpus / "captions.jsonl",
                 "--out", work / f"eval_beam{beam}")
         gradcheck = run("gradcheck", "--seed", 0)

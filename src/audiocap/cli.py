@@ -27,7 +27,7 @@ from .config import (RunConfig, ValidationError, load_run_config,
 from .data import (ManifestRecord, load_caption_clips, load_manifest,
                    load_tagging_clips, record_logmel, tag_name_list,
                    training_examples, write_manifest)
-from .decoding import beam_search_decode
+from .decoding import beam_search_clips
 from .gradcheck import model_gradient_check, tiny_configs
 from .metrics import evaluate_captions
 from .model import CaptionerModel
@@ -265,18 +265,22 @@ def _caption_model_from_checkpoint(path: str) -> tuple[CaptionerModel, Vocabular
             "caption decoding needs a caption checkpoint")
     cfg = run_config_from_dict(ckpt.config)
     vocab = Vocabulary(id_to_word=list(ckpt.vocab))
+    # an inference model: the checkpoint's read-only arrays are its
+    # parameters, with nothing drawn, copied or given a gradient buffer
     model = CaptionerModel(cfg.encoder, dataclasses.replace(cfg.decoder, vocab_size=len(vocab)),
-                           num_tags=len(ckpt.tags) if ckpt.tags else 1,
-                           seed=cfg.seed)
-    load_model_state(model, ckpt.tensors)
+                           num_tags=len(ckpt.tags) if ckpt.tags else 1, seed=None)
+    load_model_state(model, ckpt.tensors, share=True)
     return model, vocab, cfg
 
 
 def cmd_caption(args) -> int:
     model, vocab, cfg = _caption_model_from_checkpoint(args.checkpoint)
     cfg.frontend.check_clip_patches(cfg.encoder.max_patches)
-    beam = args.beam if args.beam is not None else cfg.decode.beam_size
-    max_len = args.max_len if args.max_len is not None else cfg.decode.max_len
+    decode = dataclasses.replace(  # checks the overrides as the config's own
+        cfg.decode,
+        beam_size=args.beam if args.beam is not None else cfg.decode.beam_size,
+        max_len=args.max_len if args.max_len is not None else cfg.decode.max_len,
+        length_norm=cfg.decode.length_norm or args.length_norm)
 
     input_path = Path(args.input)
     base_dir = input_path.parent
@@ -284,17 +288,20 @@ def cmd_caption(args) -> int:
         records = [ManifestRecord(clip_id=input_path.stem, wav=input_path.name)]
     else:
         records = load_manifest(input_path)
+    records.sort(key=lambda r: r.clip_id)
 
-    lines = []
-    for rec in sorted(records, key=lambda r: r.clip_id):
-        logmel = record_logmel(rec, cfg.frontend, base_dir)
-        patches = patchify(logmel, cfg.frontend.frames_per_patch)
-        with no_grad():
-            memory = model.encoder_memory(model.encode_clip(patches))
-        ids = beam_search_decode(model, memory, beam_size=beam, max_len=max_len,
-                                 length_norm=cfg.decode.length_norm or args.length_norm)
-        words = decode_tokens(ids, vocab)
-        lines.append(f"{rec.clip_id}\t{' '.join(words)}")
+    def memories():
+        for rec in records:
+            logmel = record_logmel(rec, cfg.frontend, base_dir)
+            patches = patchify(logmel, cfg.frontend.frames_per_patch)
+            with no_grad():
+                memory = model.encoder_memory(model.encode_clip(patches))
+            yield memory
+
+    captions = beam_search_clips(model, memories(), decode.beam_size,
+                                 max_len=decode.max_len, length_norm=decode.length_norm)
+    lines = [f"{rec.clip_id}\t{' '.join(decode_tokens(ids, vocab))}"
+             for rec, ids in zip(records, captions)]
     text = "\n".join(lines) + "\n"
     if args.out:
         write_atomic(args.out, text.encode("utf-8"))

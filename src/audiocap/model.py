@@ -7,7 +7,8 @@ embeddings run through pre-norm blocks of masked self-attention, cross
 attention over the full encoder output (class token included, so generation
 sees clip-level and patch-level features), and a feed-forward sublayer,
 ending in a vocabulary projection. Training decodes whole prefixes at once;
-inference decodes one position at a time, reusing cached keys and values.
+inference decodes one position at a time for the live sequences of many
+clips together, reusing cached keys and values.
 """
 
 from __future__ import annotations
@@ -69,11 +70,23 @@ def decoder_preset(name: str, vocab_size: int, dropout: float = 0.2) -> DecoderC
     return DecoderConfig(vocab_size=vocab_size, dropout=dropout, **DECODER_PRESETS[name])
 
 
+def _param(rng: np.random.Generator | None, shape: tuple[int, ...],
+           fill: float | None = None) -> Tensor:
+    """A trainable parameter: N(0, INIT_STD) draws from `rng`, or `fill`
+    everywhere. With rng None it is a placeholder, a read-only zero view of
+    `shape` with no gradient buffer, for `load_model_state(..., share=True)`
+    to replace."""
+    if rng is None:
+        return Tensor(np.broadcast_to(0.0, shape))
+    data = rng.normal(0.0, INIT_STD, shape) if fill is None else np.full(shape, fill)
+    return Tensor(data, requires_grad=True)
+
+
 class Linear:
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None,
                  bias: bool = True):
-        self.w = Tensor(rng.normal(0.0, INIT_STD, (d_in, d_out)), requires_grad=True)
-        self.b = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
+        self.w = _param(rng, (d_in, d_out))
+        self.b = _param(rng, (d_out,), 0.0) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         y = ad.matmul(x, self.w)
@@ -86,9 +99,10 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, d: int, eps: float = 1e-5):
-        self.gamma = Tensor(np.ones(d), requires_grad=True)
-        self.beta = Tensor(np.zeros(d), requires_grad=True)
+    def __init__(self, d: int, rng: np.random.Generator | None, eps: float = 1e-5):
+        # rng draws nothing here; None asks for placeholders (see _param)
+        self.gamma = _param(rng, (d,), 1.0)
+        self.beta = _param(rng, (d,), 0.0)
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -102,7 +116,7 @@ class LayerNorm:
 class MultiHeadAttention:
     """Scaled dot-product attention with h heads and output mixing."""
 
-    def __init__(self, d: int, heads: int, rng: np.random.Generator):
+    def __init__(self, d: int, heads: int, rng: np.random.Generator | None):
         self.d, self.heads, self.d_k = d, heads, d // heads
         # pure projection matrices: a key bias would be cancelled by the
         # softmax shift invariance, so none of q/k/v/o carries one
@@ -117,9 +131,30 @@ class MultiHeadAttention:
         b, t, _ = x.shape
         return ad.transpose(ad.reshape(x, (b, t, self.heads, self.d_k)), (0, 2, 1, 3))
 
+    def _split_rows(self, x: Tensor) -> Tensor:
+        """(R, d) -> (R, h, 1, d_k): each row is one position."""
+        return ad.reshape(x, (x.shape[0], self.heads, 1, self.d_k))
+
     def keys_values(self, xkv: Tensor) -> tuple[Tensor, Tensor]:
         """Head-split key and value projections (B, h, Tk, d_k) of `xkv`."""
         return self._split(self.wk(xkv)), self._split(self.wv(xkv))
+
+    def row_keys_values(self, x: Tensor) -> tuple[Tensor, Tensor]:
+        """Keys and values (R, h, 1, d_k) of rows x (R, d), each projection
+        one 2-D GEMM."""
+        return self._split_rows(self.wk(x)), self._split_rows(self.wv(x))
+
+    def _attend(self, q: Tensor, k: Tensor, v: Tensor,
+                mask: np.ndarray | None = None) -> Tensor:
+        """Head-split queries (G, h, Tq, d_k) over keys and values
+        (G, h, Tk, d_k) -> (G, h, Tq, d_k)."""
+        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
+                        1.0 / np.sqrt(self.d_k))
+        if mask is not None:
+            scores = ad.add(scores, mask)  # -inf logits never receive weight
+        attn = ad.softmax(scores, axis=-1)
+        self.last_weights = attn.data
+        return ad.matmul(attn, v)
 
     def __call__(self, xq: Tensor, kv: tuple[Tensor, Tensor],
                  mask: np.ndarray | None = None) -> Tensor:
@@ -130,16 +165,30 @@ class MultiHeadAttention:
         tk = k.shape[2]
         if mask is not None and mask.shape != (tq, tk):
             raise ValueError(f"mask shape {mask.shape} does not match ({tq}, {tk})")
-
-        q = self._split(self.wq(xq))
-        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                        1.0 / np.sqrt(self.d_k))
-        if mask is not None:
-            scores = ad.add(scores, mask)  # -inf logits never receive weight
-        attn = ad.softmax(scores, axis=-1)
-        self.last_weights = attn.data
-        mixed = ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3))
+        mixed = ad.transpose(self._attend(self._split(self.wq(xq)), k, v, mask), (0, 2, 1, 3))
         return self.wo(ad.reshape(mixed, (b, tq, self.d)))
+
+    def attend_rows(self, x: Tensor, kv: tuple[Tensor, Tensor],
+                    slots: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+        """No-grad inference: rows x (R, d), one position each, attend over
+        `kv` -> (R, d); the q and o projections are 2-D GEMMs over the rows.
+        Without `slots`, row r attends over row r of kv (R, h, Tk, d_k). With
+        `slots` = (group, place) per row, row r is query `place[r]` of group
+        `group[r]`, and each group's queries, padded with zero rows to the
+        largest group, attend together over that group of kv (G, h, Tk, d_k).
+        `last_weights` then hold each row's own weights, (R, h, 1, Tk)."""
+        r = x.shape[0]
+        q = self._split_rows(self.wq(x))
+        k, v = kv
+        if slots is None:
+            mixed = self._attend(q, k, v)
+        else:
+            group, place = slots
+            padded = np.zeros((k.shape[0], self.heads, int(place.max()) + 1, self.d_k))
+            padded[group, :, place] = q.data[:, :, 0]
+            mixed = Tensor(self._attend(Tensor(padded), k, v).data[group, :, place])
+            self.last_weights = self.last_weights[group, :, place][:, :, None]
+        return self.wo(ad.reshape(mixed, (r, self.d)))
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         for name, sub in (("wq", self.wq), ("wk", self.wk),
@@ -148,7 +197,7 @@ class MultiHeadAttention:
 
 
 class FeedForward:
-    def __init__(self, d: int, ffn_dim: int, rng: np.random.Generator):
+    def __init__(self, d: int, ffn_dim: int, rng: np.random.Generator | None):
         self.fc1 = Linear(d, ffn_dim, rng)
         self.fc2 = Linear(ffn_dim, d, rng)
 
@@ -172,10 +221,10 @@ def _residual(x: Tensor, sublayer_out: Tensor, dropout: float, train: bool,
 
 
 class EncoderLayer:
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
-        self.ln1 = LayerNorm(cfg.d)
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator | None):
+        self.ln1 = LayerNorm(cfg.d, rng)
         self.attn = MultiHeadAttention(cfg.d, cfg.heads, rng)
-        self.ln2 = LayerNorm(cfg.d)
+        self.ln2 = LayerNorm(cfg.d, rng)
         self.ffn = FeedForward(cfg.d, cfg.ffn_dim, rng)
         self.dropout = cfg.dropout
 
@@ -195,31 +244,45 @@ class EncoderLayer:
 
 
 class DecoderLayer:
-    def __init__(self, cfg: DecoderConfig, rng: np.random.Generator):
-        self.ln1 = LayerNorm(cfg.d)
+    def __init__(self, cfg: DecoderConfig, rng: np.random.Generator | None):
+        self.ln1 = LayerNorm(cfg.d, rng)
         self.self_attn = MultiHeadAttention(cfg.d, cfg.heads, rng)
-        self.ln2 = LayerNorm(cfg.d)
+        self.ln2 = LayerNorm(cfg.d, rng)
         self.cross_attn = MultiHeadAttention(cfg.d, cfg.heads, rng)
-        self.ln3 = LayerNorm(cfg.d)
+        self.ln3 = LayerNorm(cfg.d, rng)
         self.ffn = FeedForward(cfg.d, cfg.ffn_dim, rng)
         self.dropout = cfg.dropout
 
     def __call__(self, x: Tensor, cross_kv: tuple[Tensor, Tensor], mask: np.ndarray | None,
-                 train: bool, rng, past_kv: tuple[Tensor, Tensor] | None = None
-                 ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """New positions x (B, T, d) attend over the self-attention keys and
-        values of earlier positions, `past_kv` (None: none), and of their own
-        under `mask`, then over the memory's `cross_kv`. Returns the output
-        and the self-attention keys and values of every position so far."""
+                 train: bool, rng) -> Tensor:
+        """Positions x (B, T, d) attend over each other under `mask`, then
+        over the memory's `cross_kv`."""
         normed = self.ln1(x)
-        k, v = self.self_attn.keys_values(normed)
-        if past_kv is not None:
-            k = ad.concat([past_kv[0], k], axis=2)
-            v = ad.concat([past_kv[1], v], axis=2)
-        x = _residual(x, self.self_attn(normed, (k, v), mask), self.dropout, train, rng)
+        x = _residual(x, self.self_attn(normed, self.self_attn.keys_values(normed), mask),
+                      self.dropout, train, rng)
         x = _residual(x, self.cross_attn(self.ln2(x), cross_kv), self.dropout, train, rng)
         x = _residual(x, self.ffn(self.ln3(x), self.dropout, train, rng),
                       self.dropout, train, rng)
+        return x
+
+    def step(self, x: Tensor, cross_kv: tuple[Tensor, Tensor],
+             slots: tuple[np.ndarray, np.ndarray],
+             past_kv: tuple[Tensor, Tensor] | None) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+        """No-grad inference on one new position of each of R rows x (R, d):
+        each row attends over its own earlier positions' self-attention keys
+        and values `past_kv` (R, h, t, d_k; None: none) and its own, then the
+        rows of each clip, placed by `slots` (see `attend_rows`), attend over
+        that clip's `cross_kv` (C, h, S, d_k). Every projection is a 2-D GEMM
+        over the rows. Returns the output and the self-attention keys and
+        values of every position so far."""
+        normed = self.ln1(x)
+        k, v = self.self_attn.row_keys_values(normed)
+        if past_kv is not None:
+            k = ad.concat([past_kv[0], k], axis=2)
+            v = ad.concat([past_kv[1], v], axis=2)
+        x = ad.add(x, self.self_attn.attend_rows(normed, (k, v)))
+        x = ad.add(x, self.cross_attn.attend_rows(self.ln2(x), cross_kv, slots))
+        x = ad.add(x, self.ffn(self.ln3(x), 0.0, False, None))
         return x, (k, v)
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
@@ -232,20 +295,49 @@ class DecoderLayer:
 
 
 class DecoderCache:
-    """What incremental decoding of one clip reuses, per decoder layer: the
-    cross-attention keys and values of the encoder memory (computed once)
-    and the self-attention keys and values of every position decoded so
-    far, one batch row per live sequence."""
+    """What incremental decoding of C clips reuses, per decoder layer: the
+    cross-attention keys and values (C, h, S, d_k) of the clips' memories,
+    computed once, and the self-attention keys and values (R, h, t, d_k) of
+    every position decoded so far, one row per live sequence. Rows are
+    ordered clip by clip; `row_clip[r]` is row r's clip, an index into the
+    cross-attention arrays."""
 
-    def __init__(self, cross_kv: list[tuple[Tensor, Tensor]]):
+    def __init__(self, cross_kv: list[tuple[Tensor, Tensor]], clips: int):
         self.cross_kv = cross_kv
         self.self_kv: list[tuple[Tensor, Tensor] | None] = [None] * len(cross_kv)
+        self.clips = clips
+        self.row_clip: np.ndarray | None = None  # placed by the first step
+
+    def slots(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """(clip, place) of each of a step's `rows` rows: its clip and its
+        index among that clip's rows. The first step's rows are dealt to the
+        clips evenly, in order."""
+        if self.row_clip is None:
+            if rows % self.clips:
+                raise ValueError(f"{rows} first rows do not divide among {self.clips} clips")
+            self.row_clip = np.repeat(np.arange(self.clips), rows // self.clips)
+        if rows != self.row_clip.size:
+            raise ValueError(f"{rows} rows for a cache of {self.row_clip.size}")
+        counts = np.bincount(self.row_clip)
+        first = np.cumsum(counts) - counts
+        return self.row_clip, np.arange(rows) - first[self.row_clip]
 
     def reorder(self, rows) -> None:
-        """Continue from the sequences at batch `rows`, in that order; a
-        row repeats when several continuations share a parent."""
+        """Continue from the sequences at `rows`, in that order, which keeps
+        the rows clip by clip; a row repeats when several continuations share
+        a parent. A clip none of whose rows is named leaves the batch: its
+        cross-attention keys and values are dropped."""
+        rows = np.asarray(rows, dtype=np.int64)
         self.self_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows]))
                         for k, v in self.self_kv]
+        clip = self.row_clip[rows]
+        kept = np.unique(clip)
+        if kept.size < self.clips:
+            self.cross_kv = [(Tensor(k.data[kept]), Tensor(v.data[kept]))
+                             for k, v in self.cross_kv]
+            self.clips = kept.size
+            clip = np.searchsorted(kept, clip)
+        self.row_clip = clip
 
 
 def causal_mask(t: int) -> np.ndarray:
@@ -258,10 +350,13 @@ def causal_mask(t: int) -> np.ndarray:
 class CaptionerModel:
     """Patch embedding, encoder, tagging head and, unless `dec` is None, the
     decoder. Tagging pretraining builds the encoder-only model: its
-    parameters are the `enc.*` and `tag_head.*` of the full one."""
+    parameters are the `enc.*` and `tag_head.*` of the full one. With seed
+    None every parameter is a placeholder (see `_param`): nothing is drawn,
+    and `load_model_state(..., share=True)` binds stored arrays in their
+    place, for inference."""
 
     def __init__(self, enc: EncoderConfig, dec: DecoderConfig | None, num_tags: int,
-                 seed=0, word_embeddings: np.ndarray | None = None):
+                 seed: int | None = 0, word_embeddings: np.ndarray | None = None):
         if dec is not None and dec.vocab_size < 4:
             raise ValueError("decoder vocab_size must cover the 4 reserved ids")
         if num_tags < 1:
@@ -269,27 +364,26 @@ class CaptionerModel:
         self.enc_cfg = enc
         self.dec_cfg = dec
         self.num_tags = num_tags
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
 
         self.patch_embed = Linear(enc.patch_dim, enc.d, rng, bias=False)
-        self.cls_token = Tensor(rng.normal(0.0, INIT_STD, (1, enc.d)),
-                                requires_grad=True)
-        self.pos_embed = Tensor(rng.normal(0.0, INIT_STD, (enc.max_patches + 1, enc.d)),
-                                requires_grad=True)
+        self.cls_token = _param(rng, (1, enc.d))
+        self.pos_embed = _param(rng, (enc.max_patches + 1, enc.d))
         self.enc_layers = [EncoderLayer(enc, rng) for _ in range(enc.layers)]
-        self.enc_final_ln = LayerNorm(enc.d)
+        self.enc_final_ln = LayerNorm(enc.d, rng)
 
         if dec is not None:
             self.bridge = Linear(enc.d, dec.d, rng) if enc.d != dec.d else None
             if word_embeddings is None:
-                word_embeddings = rng.normal(0.0, INIT_STD, (dec.vocab_size, dec.d))
-            if word_embeddings.shape != (dec.vocab_size, dec.d):
+                self.word_embed = _param(rng, (dec.vocab_size, dec.d))
+            elif word_embeddings.shape != (dec.vocab_size, dec.d):
                 raise ValueError(
                     f"word embeddings shape {word_embeddings.shape} does not match "
                     f"({dec.vocab_size}, {dec.d})")
-            self.word_embed = Tensor(np.array(word_embeddings), requires_grad=True)
+            else:
+                self.word_embed = Tensor(np.array(word_embeddings), requires_grad=True)
             self.dec_layers = [DecoderLayer(dec, rng) for _ in range(dec.layers)]
-            self.dec_final_ln = LayerNorm(dec.d)
+            self.dec_final_ln = LayerNorm(dec.d, rng)
             self.out_proj = Linear(dec.d, dec.vocab_size, rng)
 
         self.tag_head = Linear(enc.d, num_tags, rng)
@@ -360,26 +454,29 @@ class CaptionerModel:
         x = ad.embedding(self.word_embed, token_ids)
         mask = causal_mask(t)
         for layer in self.dec_layers:
-            x, _ = layer(x, layer.cross_attn.keys_values(memory), mask, train, rng)
+            x = layer(x, layer.cross_attn.keys_values(memory), mask, train, rng)
         return self.out_proj(self.dec_final_ln(x))
 
     def start_decoding(self, memory: Tensor) -> DecoderCache:
-        """Cache for `decode_step` over one clip's memory (1, S, d_dec)."""
+        """Cache for `decode_step` over the memories (C, S, d_dec) of C
+        clips."""
         with ad.no_grad():
             return DecoderCache([layer.cross_attn.keys_values(memory)
-                                 for layer in self.dec_layers])
+                                 for layer in self.dec_layers], memory.shape[0])
 
     def decode_step(self, last_ids, cache: DecoderCache) -> Tensor:
-        """No-grad inference step: the newest token of each of B live
-        sequences -> logits (B, K_v) for the next position, equal to the last
-        row of `decode` on the whole prefixes. Appends the position to
+        """No-grad inference step: the newest token of each of the cache's R
+        live sequences -> logits (R, K_v) for the next position. Each row
+        equals, to within float rounding, the last row of `decode` on its
+        whole prefix over its clip's memory. Appends the position to
         `cache`."""
         with ad.no_grad():
-            x = ad.embedding(self.word_embed, np.asarray(last_ids).reshape(-1, 1))
+            x = ad.embedding(self.word_embed, np.asarray(last_ids))
+            slots = cache.slots(len(last_ids))
             for i, layer in enumerate(self.dec_layers):
-                x, cache.self_kv[i] = layer(x, cache.cross_kv[i], None, False, None,
-                                            cache.self_kv[i])
-            return self.out_proj(self.dec_final_ln(x[:, 0]))
+                x, cache.self_kv[i] = layer.step(x, cache.cross_kv[i], slots,
+                                                 cache.self_kv[i])
+            return self.out_proj(self.dec_final_ln(x))
 
     def caption_logits(self, patches: np.ndarray, token_ids: np.ndarray,
                        train: bool = False,

@@ -207,6 +207,15 @@ def test_caption_single_wav(tmp_path, corpus):
     lines = out.read_text().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("clip0001\t")
+    # the manifest's clips, searched in lockstep, caption as each does alone
+    together = tmp_path / "all.tsv"
+    assert main(["caption", "--checkpoint", str(run / "model.bin"),
+                 "--input", str(corpus / "captions.jsonl"), "--out", str(together)]) == 0
+    for line in together.read_text().splitlines():
+        clip = line.split("\t")[0]
+        assert main(["caption", "--checkpoint", str(run / "model.bin"),
+                     "--input", str(corpus / f"{clip}.wav"), "--out", str(out)]) == 0
+        assert out.read_text() == line + "\n"
 
 
 def test_caption_outputs_identical_across_runs(tmp_path, corpus):
@@ -362,6 +371,51 @@ def test_init_shape_mismatch_reports_tensor(tmp_path, corpus, capsys):
                  "--init", str(tag_run / "model.bin")])
     assert code == 3
     assert "enc." in capsys.readouterr().err
+
+
+def untrained_caption_checkpoint(tmp_path, cfg_path) -> Path:
+    run_cfg = load_run_config(cfg_path)
+    model = CaptionerModel(run_cfg.encoder,
+                           dataclasses.replace(run_cfg.decoder, vocab_size=5), num_tags=1)
+    ckpt = tmp_path / "model.bin"
+    save_checkpoint(ckpt, Checkpoint(
+        kind="caption", config=run_config_to_dict(run_cfg),
+        vocab=["<pad>", "<sos>", "<eos>", "<unk>", "dog"], tags=None,
+        tensors=model_state(model)))
+    return ckpt
+
+
+@pytest.mark.parametrize("flag, value, key", [("--beam", "0", "decode.beam_size"),
+                                              ("--max-len", "-1", "decode.max_len")])
+def test_caption_bad_override_exit_3_before_any_log_mel(tmp_path, corpus, capsys,
+                                                        monkeypatch, flag, value, key):
+    def no_log_mel(*args):
+        raise AssertionError("compute_log_mel ran")
+
+    monkeypatch.setattr(data, "compute_log_mel", no_log_mel)
+    ckpt = untrained_caption_checkpoint(tmp_path, write_config(tmp_path))
+    assert main(["caption", "--checkpoint", str(ckpt),
+                 "--input", str(corpus / "captions.jsonl"), flag, value]) == 3
+    assert f"{key} must be >= 1" in capsys.readouterr().err
+
+
+def test_caption_model_is_the_checkpoint_arrays(tmp_path, monkeypatch):
+    # nothing drawn, copied or given a gradient buffer
+    ckpt = untrained_caption_checkpoint(tmp_path, write_config(tmp_path))
+    loaded = []
+    monkeypatch.setattr(cli, "load_checkpoint",
+                        lambda path: loaded.append(load_checkpoint(path)) or loaded[-1])
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("random numbers drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    model, _, _ = cli._caption_model_from_checkpoint(str(ckpt))
+    names = [name for name, _ in model.named_parameters()]
+    assert sorted(names) == sorted(loaded[0].tensors)
+    for name, p in model.named_parameters():
+        assert p.data is loaded[0].tensors[name]
+        assert p.grad is None and not p.requires_grad
 
 
 def test_caption_refuses_tagging_checkpoint(tmp_path, corpus, capsys):
@@ -608,14 +662,7 @@ def test_too_many_patches_exit_3_before_any_log_mel(tmp_path, corpus, capsys, mo
                      "--out", str(tmp_path / "run"), *extra]) == 3
         assert "625 patches" in capsys.readouterr().err
 
-    run_cfg = load_run_config(cfg)
-    model = CaptionerModel(run_cfg.encoder,
-                           dataclasses.replace(run_cfg.decoder, vocab_size=5), num_tags=1)
-    ckpt = tmp_path / "model.bin"
-    save_checkpoint(ckpt, Checkpoint(
-        kind="caption", config=run_config_to_dict(run_cfg),
-        vocab=["<pad>", "<sos>", "<eos>", "<unk>", "dog"], tags=None,
-        tensors=model_state(model)))
+    ckpt = untrained_caption_checkpoint(tmp_path, cfg)
     assert main(["caption", "--checkpoint", str(ckpt),
                  "--input", str(corpus / "captions.jsonl")]) == 3
     err = capsys.readouterr().err

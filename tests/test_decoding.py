@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from audiocap import autodiff as ad
-from audiocap.decoding import DEFAULT_BANNED, beam_search_decode, greedy_decode
+from audiocap import decoding
+from audiocap.decoding import (DEFAULT_BANNED, LOCKSTEP_CLIPS, beam_search_clips,
+                               beam_search_decode, greedy_decode)
 from audiocap.model import CaptionerModel, DecoderConfig, EncoderConfig
 from audiocap.text import EOS, PAD, SOS, UNK
 from beam_reference import (hypothesis_score_by_replay, reference_beam_search,
@@ -374,3 +376,80 @@ def test_length_norm_and_return_topk_run_the_full_search(flags):
     model.calls = 0
     beam_search_decode(model, None, 2, max_len=9, **flags)
     assert model.calls == 9
+
+
+# ---------------------------------------------------------------------------
+# lockstep: many clips per decode step
+# ---------------------------------------------------------------------------
+
+def step_rows(model):
+    """Wrap model.decode_step on the instance; returns the row count of each
+    call."""
+    rows = []
+    step = model.decode_step
+
+    def counted(last_ids, cache):
+        rows.append(len(last_ids))
+        return step(last_ids, cache)
+
+    model.decode_step = counted
+    return rows
+
+
+@pytest.mark.parametrize("beam_size,length_norm", [(1, False), (3, False), (5, False),
+                                                   (5, True)])
+def test_lockstep_captions_equal_one_clip_search(beam_size, length_norm):
+    # more clips than one lockstep group holds, so a second group runs; a
+    # likelier <eos> ends the clips' searches at different steps
+    model = toy_model(vocab_size=12, seed=2, dec_layers=2)
+    model.out_proj.b.data[EOS] += 1.0
+    memories = [toy_memory(model, seed) for seed in range(LOCKSTEP_CLIPS + 3)]
+    rows = step_rows(model)
+    alone, steps, narrowed = [], set(), False
+    for memory in memories:
+        alone.append(beam_search_decode(model, memory, beam_size, max_len=10,
+                                        length_norm=length_norm))
+        steps.add(len(rows))
+        narrowed |= any(0 < r < beam_size for r in rows[1:])
+        rows.clear()
+    groups = []
+    start = model.start_decoding
+    model.start_decoding = lambda memory: groups.append(memory.shape[0]) or start(memory)
+    together = list(beam_search_clips(model, iter(memories), beam_size, max_len=10,
+                                      length_norm=length_norm))
+    assert together == alone
+    assert groups == [LOCKSTEP_CLIPS, 3]
+    # the clips stop at different steps (unless every step runs), and with a
+    # beam some clip searches on with fewer live hypotheses than the beam
+    assert len(steps) > 1 or length_norm
+    assert narrowed or beam_size == 1
+
+
+def test_lockstep_step_logits_match_each_clip_alone():
+    model = toy_model(seed=2, dec_layers=2)
+    memories = [toy_memory(model, seed) for seed in range(3)]
+    together = model.start_decoding(ad.concat(memories, axis=0))
+    alone = [model.start_decoding(m) for m in memories]
+    rng = np.random.default_rng(9)
+    # live rows of each clip per step: the clips' widths differ, so the
+    # narrower ones are padded; clip 0 narrows from three rows to two and
+    # then leaves
+    widths = [(1, 1, 1), (3, 1, 2), (2, 1, 4), (0, 2, 4)]
+    ids = [[SOS] for _ in range(3)]
+    for t, width in enumerate(widths):
+        if t:
+            # parents: each clip's rows, cycled
+            rows, first = [], 0
+            for c, (n_old, n) in enumerate(zip(widths[t - 1], width)):
+                parents = [p % n_old for p in range(n)]
+                if n:
+                    alone[c].reorder(parents)
+                rows += [first + p for p in parents]
+                first += n_old
+            together.reorder(rows)
+            ids = [[int(i) for i in rng.integers(4, 8, n)] for n in width]
+        live = [c for c in range(3) if width[c]]
+        logits = model.decode_step([i for c in live for i in ids[c]], together).data
+        expected = np.concatenate([model.decode_step(ids[c], alone[c]).data for c in live])
+        assert logits.shape == expected.shape
+        assert np.max(np.abs(logits - expected)) <= 1e-12

@@ -195,17 +195,21 @@ def test_decoder_causality_bit_exact():
 
 
 def test_decoder_layer_past_kv_matches_whole_prefix():
-    # one position at a time with past_kv builds the keys and values (and
-    # outputs) that the whole prefix under the causal mask does
+    # one position at a time, `step` with past_kv builds the keys and values
+    # (and outputs) that the whole prefix under the causal mask does; row r
+    # is the only row of clip r
     model = small_model()
     layer = model.dec_layers[0]
     cross_kv = layer.cross_attn.keys_values(ad.Tensor(rand((2, 5, 16), 13)))
     x = ad.Tensor(rand((2, 4, 16), 14))
-    whole, (k, v) = layer(x, cross_kv, causal_mask(4), False, None)
+    whole = layer(x, cross_kv, causal_mask(4), False, None)
+    k, v = layer.self_attn.keys_values(layer.ln1(x))
+    slots = (np.arange(2), np.zeros(2, dtype=int))
     past_kv = None
-    for t in range(4):
-        out, past_kv = layer(x[:, t:t + 1], cross_kv, None, False, None, past_kv)
-        np.testing.assert_allclose(out.data, whole.data[:, t:t + 1], rtol=0, atol=1e-12)
+    with ad.no_grad():
+        for t in range(4):
+            out, past_kv = layer.step(x[:, t], cross_kv, slots, past_kv)
+            np.testing.assert_allclose(out.data, whole.data[:, t], rtol=0, atol=1e-12)
     assert past_kv[0].shape == k.shape == (2, 2, 4, 8)
     np.testing.assert_allclose(past_kv[0].data, k.data, rtol=0, atol=1e-12)
     np.testing.assert_allclose(past_kv[1].data, v.data, rtol=0, atol=1e-12)
