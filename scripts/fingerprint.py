@@ -5,11 +5,14 @@ Runs in this process, in a temporary directory: synthesizes the seed-7
 8-clip corpus, pretrains tagging for 3 epochs, trains the captioner for 12
 epochs from the tagging encoder (dropout 0.1, label smoothing 0.1, a
 checkpoint every 6 epochs), captions at beam 1, 3 and 5, scores each set of
-captions, and runs `gradcheck`. At each beam it also captions every clip as
-its own `--input clip.wav` and exits non-zero if a line differs from the
-manifest run's, whose clips are searched in lockstep. Prints one
-`sha256  name` line per output, so that two checkouts produce the same bytes
-exactly when `diff` of their fingerprints is empty:
+captions, and runs `gradcheck` on its built-in model and, with `--config`,
+on a small model whose encoder and decoder widths differ (so a bridge maps
+one to the other) and whose config leaves the vocabulary unset. At each
+beam it also captions every clip as its own `--input clip.wav` and exits
+non-zero if a line differs from the manifest run's, whose clips are
+searched in lockstep. Prints one `sha256  name` line per output, so that two
+checkouts produce the same bytes exactly when `diff` of their fingerprints
+is empty:
 
     PYTHONPATH=src python3 scripts/fingerprint.py > after.txt
     PYTHONPATH=<other checkout>/src python3 scripts/fingerprint.py > before.txt
@@ -45,6 +48,12 @@ CONFIG = {
     "word2vec": {"epochs": 10},
 }
 BEAMS = (1, 3, 5)
+GRADCHECK_CONFIG = {
+    "frontend": {"mel_bins": 8, "frames_per_patch": 2},
+    "encoder": {"d": 12, "heads": 2, "layers": 1, "ffn_dim": 24, "dropout": 0.1,
+                "patch_dim": 16, "max_patches": 2},
+    "decoder": {"d": 8, "heads": 2, "layers": 1, "ffn_dim": 16, "dropout": 0.1},
+}
 
 
 def run(*args) -> str:
@@ -92,6 +101,9 @@ def main() -> None:
             run("eval", "--candidates", tsv, "--references", corpus / "captions.jsonl",
                 "--out", work / f"eval_beam{beam}")
         gradcheck = run("gradcheck", "--seed", 0)
+        gradcheck_config = work / "gradcheck.json"
+        gradcheck_config.write_text(json.dumps(GRADCHECK_CONFIG), encoding="utf-8")
+        bridged = run("gradcheck", "--config", gradcheck_config, "--seed", 0)
 
         outputs = {}
         for pattern in ("*/model.bin", "*/ckpt_epoch_*.bin", "*/vocab.txt",
@@ -102,6 +114,7 @@ def main() -> None:
             outputs[f"{run_dir}/metrics.jsonl without wall_time"] = losses(
                 work / run_dir / "metrics.jsonl")
         outputs["gradcheck stdout"] = gradcheck.encode("utf-8")
+        outputs["gradcheck --config stdout"] = bridged.encode("utf-8")
     for name, data in outputs.items():
         print(f"{sha(data)}  {name}")
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import functools
+import io
 import wave
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .atomic import write_atomic
 
 SAMPLE_RATE = 32000
 CLIP_SECONDS = 10.0
@@ -127,12 +130,15 @@ def read_wav(path: str | Path) -> Waveform:
 
 
 def write_wav(path: str | Path, w: Waveform) -> None:
+    """16-bit mono PCM, written atomically (see `write_atomic`)."""
     pcm = np.clip(np.round(w.samples * 32767.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(w.sample_rate)
         wf.writeframes(pcm.tobytes())
+    write_atomic(path, buf.getvalue())
 
 
 def hz_to_mel(f):

@@ -285,12 +285,10 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
 
 def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate == 0."""
+    """Inverted dropout: zero with probability `rate`, scale the rest up."""
     a = _as_tensor(a)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return _make(a.data.copy(), (a, lambda g: g))
     keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
     return _make(a.data * keep, (a, lambda g: g * keep))
 

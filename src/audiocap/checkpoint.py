@@ -152,12 +152,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 def load_model_state(model: CaptionerModel, tensors: dict[str, np.ndarray],
-                     prefix: str | None = None, share: bool = False) -> list[str]:
-    """Copy stored tensors into the model, validating shapes. With a prefix,
-    only matching parameters are touched. With share, each parameter's data
-    becomes the stored array itself (a loaded checkpoint's read-only view
-    serves), for an inference model built with seed None. Returns the loaded
-    names."""
+                     prefix: str | None = None) -> list[str]:
+    """Load stored tensors into the model, validating shapes. With a prefix,
+    only matching parameters are touched. A trainable parameter gets a copy
+    of the stored values; a placeholder (an inference model built with seed
+    None) becomes the stored array itself, so a loaded checkpoint's
+    read-only view serves. Returns the loaded names."""
     loaded = []
     for name, param in model.named_parameters():
         if prefix is not None and not name.startswith(prefix):
@@ -169,9 +169,9 @@ def load_model_state(model: CaptionerModel, tensors: dict[str, np.ndarray],
             raise ValueError(
                 f"shape mismatch for tensor {name!r}: checkpoint has "
                 f"{arr.shape}, model expects {param.data.shape}")
-        if share:
-            param.data = arr
-        else:
+        if param.requires_grad:
             param.data[...] = arr
+        else:
+            param.data = arr
         loaded.append(name)
     return loaded

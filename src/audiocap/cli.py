@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import gradcheck
 from .atomic import write_atomic
 from .audio import patchify, write_wav
 from .autodiff import NumericError, no_grad
@@ -28,7 +29,6 @@ from .data import (ManifestRecord, load_caption_clips, load_manifest,
                    load_tagging_clips, record_logmel, tag_name_list,
                    training_examples, write_manifest)
 from .decoding import beam_search_clips
-from .gradcheck import model_gradient_check, tiny_configs
 from .metrics import evaluate_captions
 from .model import CaptionerModel
 from .optim import Adam
@@ -53,6 +53,8 @@ def _default_data_dir() -> str:
 def cmd_synth_data(args) -> int:
     if args.count < 1:
         raise ValidationError("--count must be >= 1")
+    if args.max_events < 1:
+        raise ValidationError("--max-events must be >= 1")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = make_corpus(args.count, args.seed, max_events=args.max_events)
@@ -173,20 +175,6 @@ def _train_tagging(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
     return 0
 
 
-def _build_caption_model(cfg: RunConfig, vocab: Vocabulary,
-                         corpus: list[list[str]], num_tags: int) -> CaptionerModel:
-    dec_cfg = dataclasses.replace(cfg.decoder, vocab_size=len(vocab))
-    word_embeddings = None
-    if cfg.word2vec.enabled:
-        result = train_skipgram(
-            corpus, vocab, dim=dec_cfg.d, window=cfg.word2vec.window,
-            negatives=cfg.word2vec.negatives, epochs=cfg.word2vec.epochs,
-            seed=cfg.seed, lr=cfg.word2vec.lr)
-        word_embeddings = result.embeddings
-    return CaptionerModel(cfg.encoder, dec_cfg, num_tags=max(1, num_tags),
-                          seed=cfg.seed, word_embeddings=word_embeddings)
-
-
 def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> int:
     start_epoch = 1
     resume_ckpt = None
@@ -211,7 +199,15 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
     clips = load_caption_clips(records, cfg.frontend, vocab, base_dir)
     tags = sorted({t for rec in records for t in rec.tags})
 
-    model = _build_caption_model(cfg, vocab, corpus, num_tags=len(tags) or 1)
+    dec_cfg = dataclasses.replace(cfg.decoder, vocab_size=len(vocab))
+    word_embeddings = None
+    if cfg.word2vec.enabled and resume_ckpt is None:  # a resumed run loads its own
+        word_embeddings = train_skipgram(
+            corpus, vocab, dim=dec_cfg.d, window=cfg.word2vec.window,
+            negatives=cfg.word2vec.negatives, epochs=cfg.word2vec.epochs,
+            seed=cfg.seed, lr=cfg.word2vec.lr).embeddings
+    model = CaptionerModel(cfg.encoder, dec_cfg, num_tags=len(tags) or 1,
+                           seed=cfg.seed, word_embeddings=word_embeddings)
     if args.init:
         init_ckpt = load_checkpoint(args.init)
         load_model_state(model, init_ckpt.tensors, prefix="enc.")
@@ -269,7 +265,7 @@ def _caption_model_from_checkpoint(path: str) -> tuple[CaptionerModel, Vocabular
     # parameters, with nothing drawn, copied or given a gradient buffer
     model = CaptionerModel(cfg.encoder, dataclasses.replace(cfg.decoder, vocab_size=len(vocab)),
                            num_tags=len(ckpt.tags) if ckpt.tags else 1, seed=None)
-    load_model_state(model, ckpt.tensors, share=True)
+    load_model_state(model, ckpt.tensors)
     return model, vocab, cfg
 
 
@@ -293,9 +289,9 @@ def cmd_caption(args) -> int:
     def memories():
         for rec in records:
             logmel = record_logmel(rec, cfg.frontend, base_dir)
-            patches = patchify(logmel, cfg.frontend.frames_per_patch)
+            patches = patchify(logmel, cfg.frontend.frames_per_patch).patches[None]
             with no_grad():
-                memory = model.encoder_memory(model.encode_clip(patches))
+                memory = model.encoder_memory(model.encode(model.embed_patches(patches)))
             yield memory
 
     captions = beam_search_clips(model, memories(), decode.beam_size,
@@ -356,13 +352,13 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.config:
         cfg = load_run_config(args.config)
-        enc = dataclasses.replace(cfg.encoder, dropout=0.0,
-                                  max_patches=max(cfg.encoder.max_patches, 3))
-        dec = dataclasses.replace(cfg.decoder, vocab_size=cfg.decoder.vocab_size or 9,
-                                  dropout=0.0)
+        enc = dataclasses.replace(cfg.encoder, dropout=0.0, max_patches=max(
+            cfg.encoder.max_patches, gradcheck.NUM_PATCHES))
+        dec = dataclasses.replace(cfg.decoder, dropout=0.0,
+                                  vocab_size=cfg.decoder.vocab_size or gradcheck.VOCAB_SIZE)
     else:
-        enc, dec = tiny_configs()
-    report = model_gradient_check(seed=args.seed, enc=enc, dec=dec)
+        enc, dec = gradcheck.tiny_configs()
+    report = gradcheck.model_gradient_check(args.seed, enc, dec)
     worst_name = max(report.per_param, key=report.per_param.get)
     print(f"checked {len(report.per_param)} parameter tensors")
     print(f"max relative error: {report.max_error:.3e} (worst: {worst_name})")

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .audio import FrontendConfig, SpecAugmentPolicy
+from .decoding import DEFAULT_MAX_LEN
 from .model import DecoderConfig, EncoderConfig
 from .training import TrainConfig, pretrain_defaults
 
@@ -29,7 +30,7 @@ class Word2VecConfig:
 @dataclass
 class DecodeConfig:
     beam_size: int = 5
-    max_len: int = 22
+    max_len: int = DEFAULT_MAX_LEN
     length_norm: bool = False
 
     def __post_init__(self):

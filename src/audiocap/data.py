@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .audio import (FrontendConfig, LogMelSpectrogram, SpecAugmentPolicy,
                     compute_log_mel, patchify, read_wav, spec_augment)
 from .config import ValidationError
@@ -45,7 +46,7 @@ class ManifestRecord:
 
 def write_manifest(path: str | Path, records: list[ManifestRecord]) -> None:
     lines = [json.dumps(r.to_json(), sort_keys=True) for r in records]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _strings(value) -> bool:
@@ -187,13 +188,13 @@ def _identity_policy(policy: SpecAugmentPolicy) -> bool:
 
 
 def training_examples(clips: list[CaptionClip] | list[TaggingClip], cfg: FrontendConfig,
-                      policy: SpecAugmentPolicy | None, seed, epoch: int
+                      policy: SpecAugmentPolicy, seed, epoch: int
                       ) -> list[CaptionExample] | list[TaggingExample]:
     """Patchify each clip, applying fresh SpecAugment masks per epoch."""
     examples = []
     for i, clip in enumerate(clips):
         spec = clip.logmel
-        if policy is not None and not _identity_policy(policy):
+        if not _identity_policy(policy):  # the identity would copy each log-mel
             spec = spec_augment(spec, policy, [seed, epoch, i])
         examples.append(clip.example(patchify(spec, cfg.frames_per_patch).patches))
     return examples

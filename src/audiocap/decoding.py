@@ -168,7 +168,6 @@ def beam_search_decode(model: CaptionerModel, memory, beam_size: int,
 
 def beam_search_clips(model: CaptionerModel, memories: Iterable, beam_size: int,
                       max_len: int = DEFAULT_MAX_LEN,
-                      banned: tuple[int, ...] = DEFAULT_BANNED,
                       length_norm: bool = False) -> Iterator[list[int]]:
     """The `beam_search_decode` ids of each clip whose memory (1, S, d_dec)
     `memories` yields, in order. The clips are searched in lockstep groups
@@ -180,5 +179,5 @@ def beam_search_clips(model: CaptionerModel, memories: Iterable, beam_size: int,
         cache = model.start_decoding(ad.concat(group, axis=0))
         clips = len(group)
         del group  # the search keeps only the keys and values
-        yield from _lockstep(model, cache, clips, beam_size, max_len, banned,
+        yield from _lockstep(model, cache, clips, beam_size, max_len, DEFAULT_BANNED,
                              length_norm, False)

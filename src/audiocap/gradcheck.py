@@ -23,6 +23,12 @@ from .training import bce_with_logits, label_smoothed_ce, smoothed_targets
 
 DEFAULT_TOLERANCE = 1e-4
 CHUNK = 128  # scalars probed per forward pass
+# the probe clip and its objective; VOCAB_SIZE serves a config that sets none
+NUM_PATCHES = 3
+CAPTION_WORDS = 4
+NUM_TAGS = 3
+SMOOTHING = 0.1
+VOCAB_SIZE = 9
 
 
 @dataclass
@@ -37,11 +43,10 @@ class GradCheckReport:
 
 
 def tiny_configs(d: int = 32, heads: int = 2, enc_layers: int = 2,
-                 dec_layers: int = 1, vocab_size: int = 9, patch_dim: int = 32,
-                 n_patches: int = 3) -> tuple[EncoderConfig, DecoderConfig]:
+                 dec_layers: int = 1) -> tuple[EncoderConfig, DecoderConfig]:
     enc = EncoderConfig(d=d, heads=heads, layers=enc_layers, ffn_dim=2 * d,
-                        dropout=0.0, patch_dim=patch_dim, max_patches=n_patches)
-    dec = DecoderConfig(vocab_size=vocab_size, d=d, heads=heads,
+                        dropout=0.0, patch_dim=32, max_patches=NUM_PATCHES)
+    dec = DecoderConfig(vocab_size=VOCAB_SIZE, d=d, heads=heads,
                         layers=dec_layers, ffn_dim=2 * d, dropout=0.0)
     return enc, dec
 
@@ -51,13 +56,12 @@ class Objective:
     in double precision with dropout off, so every parameter participates."""
 
     def __init__(self, model: CaptionerModel, patches: np.ndarray,
-                 tokens: np.ndarray, labels: np.ndarray, smoothing: float):
+                 tokens: np.ndarray, labels: np.ndarray):
         self.model = model
         self.patches = patches          # (1, N, patch_dim)
         self.inputs = tokens[None, :-1]
         self.targets = tokens[None, 1:]
         self.labels = labels            # (1, K_tags)
-        self.smoothing = smoothing
 
     def _logits(self, rows: int) -> tuple[ad.Tensor, ad.Tensor]:
         m = self.model
@@ -68,7 +72,7 @@ class Objective:
 
     def loss(self) -> ad.Tensor:
         logits, tag_logits = self._logits(1)
-        ce = label_smoothed_ce(logits, self.targets, smoothing=self.smoothing)
+        ce = label_smoothed_ce(logits, self.targets, smoothing=SMOOTHING)
         return ad.add(ce, bce_with_logits(tag_logits, self.labels))
 
     def row_losses(self, rows: int) -> np.ndarray:
@@ -81,23 +85,16 @@ class Objective:
             logp = ad.log_softmax(logits).data
             pos = ad.logsigmoid(tag_logits).data
             neg = ad.logsigmoid(ad.neg(tag_logits)).data
-        q, valid = smoothed_targets(self.targets, logits.shape[-1], self.smoothing)
+        q, valid = smoothed_targets(self.targets, logits.shape[-1], SMOOTHING)
         ce = ((logp * q).sum(axis=-1) * valid).sum(axis=-1) * (-1.0 / valid.sum())
         bce = -(pos * self.labels + neg * (1.0 - self.labels)).mean(axis=-1)
         return ce + bce
 
 
-def make_objective(seed=0, num_tags: int = 3, n_patches: int = 3,
-                   caption_len: int = 4, enc: EncoderConfig | None = None,
-                   dec: DecoderConfig | None = None,
-                   smoothing: float = 0.1) -> Objective:
+def make_objective(seed, enc: EncoderConfig, dec: DecoderConfig) -> Objective:
     """A model at a generic parameter point and one random clip, caption
     and tag labels, all drawn from `seed`."""
-    if enc is None or dec is None:
-        enc_default, dec_default = tiny_configs(n_patches=n_patches)
-        enc = enc or enc_default
-        dec = dec or dec_default
-    model = CaptionerModel(enc, dec, num_tags=num_tags, seed=seed)
+    model = CaptionerModel(enc, dec, num_tags=NUM_TAGS, seed=seed)
     # re-draw parameters at a generic O(0.2) point: the 0.02-std training
     # init leaves most gradients below the finite-difference noise floor
     grng = np.random.default_rng([seed, 2])
@@ -107,11 +104,11 @@ def make_objective(seed=0, num_tags: int = 3, n_patches: int = 3,
         else:
             p.data = 0.2 * grng.standard_normal(p.shape)
     rng = np.random.default_rng([seed, 1])
-    patches = rng.normal(0.0, 1.0, (1, n_patches, enc.patch_dim))
-    words = rng.integers(4, dec.vocab_size, size=caption_len)
+    patches = rng.normal(0.0, 1.0, (1, NUM_PATCHES, enc.patch_dim))
+    words = rng.integers(4, dec.vocab_size, size=CAPTION_WORDS)
     tokens = np.array([SOS, *words, EOS])
-    labels = rng.integers(0, 2, size=(1, num_tags)).astype(np.float64)
-    return Objective(model, patches, tokens, labels, smoothing)
+    labels = rng.integers(0, 2, size=(1, NUM_TAGS)).astype(np.float64)
+    return Objective(model, patches, tokens, labels)
 
 
 def _central_differences(objective: Objective, p: ad.Tensor,
@@ -161,12 +158,8 @@ def check_objective(objective: Objective, h: float = 1e-4) -> GradCheckReport:
     return GradCheckReport(max_error=max(per_param.values()), per_param=per_param)
 
 
-def model_gradient_check(seed=0, h: float = 1e-4, num_tags: int = 3,
-                         n_patches: int = 3, caption_len: int = 4,
-                         enc: EncoderConfig | None = None,
-                         dec: DecoderConfig | None = None,
-                         smoothing: float = 0.1) -> GradCheckReport:
+def model_gradient_check(seed, enc: EncoderConfig, dec: DecoderConfig,
+                         h: float = 1e-4) -> GradCheckReport:
     """Finite-difference check of d(loss)/d(theta) for every parameter of
     `make_objective`'s model."""
-    return check_objective(make_objective(seed, num_tags, n_patches, caption_len,
-                                          enc, dec, smoothing), h)
+    return check_objective(make_objective(seed, enc, dec), h)

@@ -20,6 +20,9 @@ import numpy as np
 
 REPORT_FORMAT_VERSION = 1
 UNAVAILABLE = "unavailable"
+BLEU_ORDERS = 4   # the report carries BLEU_1 .. BLEU_4
+CIDER_ORDERS = 4  # CIDEr averages n-gram orders 1 .. 4
+CIDER_SIGMA = 6.0  # std of CIDEr's Gaussian length penalty
 
 
 @dataclass
@@ -130,26 +133,26 @@ class CiderResult:
     degenerate_idf: bool  # single-clip corpus: every IDF is zero
 
 
-def cider(pairs: Sequence[EvalPair], max_n: int = 4, sigma: float = 6.0) -> CiderResult:
+def cider(pairs: Sequence[EvalPair]) -> CiderResult:
     """TF-IDF weighted n-gram similarity, averaged over references and
-    orders 1..max_n, with clipped candidate TF, a Gaussian penalty on the
-    length difference, and a factor of 10."""
+    orders 1..CIDER_ORDERS, with clipped candidate TF, a Gaussian penalty
+    (std CIDER_SIGMA) on the length difference, and a factor of 10."""
     if not pairs:
         raise ValueError("empty candidate set")
     doc_freq: dict[tuple, int] = defaultdict(int)
     for pair in pairs:
         seen = set()
         for ref in pair.references:
-            for k in range(1, max_n + 1):
+            for k in range(1, CIDER_ORDERS + 1):
                 seen.update(_ngram_counts(ref, k).keys())
         for gram in seen:
             doc_freq[gram] += 1
     log_num_clips = math.log(max(1.0, len(pairs)))
 
     def tfidf_vec(tokens: Sequence[str]):
-        vecs = [defaultdict(float) for _ in range(max_n)]
-        norms = [0.0] * max_n
-        for k in range(1, max_n + 1):
+        vecs = [defaultdict(float) for _ in range(CIDER_ORDERS)]
+        norms = [0.0] * CIDER_ORDERS
+        for k in range(1, CIDER_ORDERS + 1):
             for gram, cnt in _ngram_counts(tokens, k).items():
                 idf = log_num_clips - math.log(max(1.0, doc_freq[gram]))
                 vecs[k - 1][gram] = cnt * idf
@@ -159,11 +162,11 @@ def cider(pairs: Sequence[EvalPair], max_n: int = 4, sigma: float = 6.0) -> Cide
     per_clip = []
     for pair in pairs:
         cand_vec, cand_norm, cand_len = tfidf_vec(pair.candidate)
-        total = np.zeros(max_n)
+        total = np.zeros(CIDER_ORDERS)
         for ref in pair.references:
             ref_vec, ref_norm, ref_len = tfidf_vec(ref)
-            penalty = math.exp(-((cand_len - ref_len) ** 2) / (2 * sigma ** 2))
-            for k in range(max_n):
+            penalty = math.exp(-((cand_len - ref_len) ** 2) / (2 * CIDER_SIGMA ** 2))
+            for k in range(CIDER_ORDERS):
                 sim = sum(min(v, ref_vec[k][gram]) * ref_vec[k][gram]
                           for gram, v in cand_vec[k].items())
                 if cand_norm[k] > 0 and ref_norm[k] > 0:
@@ -246,8 +249,7 @@ class MetricReport:
 def evaluate_captions(candidates: dict[str, list[str]],
                       references: dict[str, list[list[str]]],
                       spice_score: float | None = None,
-                      bleu_smoothing: bool = False,
-                      max_bleu_order: int = 4) -> MetricReport:
+                      bleu_smoothing: bool = False) -> MetricReport:
     """Score candidates against references keyed by clip id. Reference
     clips without a candidate are not scored; they are listed, sorted, in
     metadata["uncovered_references"]."""
@@ -260,7 +262,7 @@ def evaluate_captions(candidates: dict[str, list[str]],
     pairs = [EvalPair(candidate=candidates[i], references=references[i]) for i in ids]
 
     corpus: dict[str, float] = {}
-    for k in range(1, max_bleu_order + 1):
+    for k in range(1, BLEU_ORDERS + 1):
         corpus[f"bleu_{k}"] = bleu(pairs, k, smoothing=bleu_smoothing)
     corpus["rouge_l"] = rouge_l(pairs)
     cider_res = cider(pairs)
@@ -282,8 +284,8 @@ def evaluate_captions(candidates: dict[str, list[str]],
     }
     metadata = {
         "corpus_size": len(ids),
-        "bleu_orders": max_bleu_order,
-        "cider_sigma": 6.0,
+        "bleu_orders": BLEU_ORDERS,
+        "cider_sigma": CIDER_SIGMA,
         "cider_degenerate_idf": cider_res.degenerate_idf,
     }
     uncovered = sorted(set(references) - set(candidates))

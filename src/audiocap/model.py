@@ -19,7 +19,6 @@ from typing import Iterator
 import numpy as np
 
 from . import autodiff as ad
-from .audio import PatchSequence
 from .autodiff import Tensor
 
 INIT_STD = 0.02
@@ -74,8 +73,8 @@ def _param(rng: np.random.Generator | None, shape: tuple[int, ...],
            fill: float | None = None) -> Tensor:
     """A trainable parameter: N(0, INIT_STD) draws from `rng`, or `fill`
     everywhere. With rng None it is a placeholder, a read-only zero view of
-    `shape` with no gradient buffer, for `load_model_state(..., share=True)`
-    to replace."""
+    `shape` with no gradient buffer, for `load_model_state` to bind a stored
+    array in its place."""
     if rng is None:
         return Tensor(np.broadcast_to(0.0, shape))
     data = rng.normal(0.0, INIT_STD, shape) if fill is None else np.full(shape, fill)
@@ -99,14 +98,13 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, d: int, rng: np.random.Generator | None, eps: float = 1e-5):
+    def __init__(self, d: int, rng: np.random.Generator | None):
         # rng draws nothing here; None asks for placeholders (see _param)
         self.gamma = _param(rng, (d,), 1.0)
         self.beta = _param(rng, (d,), 0.0)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gamma, self.beta, self.eps)
+        return ad.layer_norm(x, self.gamma, self.beta)
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}.gamma", self.gamma
@@ -156,15 +154,14 @@ class MultiHeadAttention:
         self.last_weights = attn.data
         return ad.matmul(attn, v)
 
-    def __call__(self, xq: Tensor, kv: tuple[Tensor, Tensor],
-                 mask: np.ndarray | None = None) -> Tensor:
-        """Attend from `xq` over head-split keys and values `kv` (from
-        `keys_values`; a batch axis of 1 broadcasts over `xq`'s)."""
+    def __call__(self, xq: Tensor, xkv: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Attend from queries `xq` (B, Tq, d) over keys and values projected
+        from `xkv` (B, Tk, d; a batch axis of 1 broadcasts over `xq`'s)."""
         b, tq, _ = xq.shape
-        k, v = kv
-        tk = k.shape[2]
+        tk = xkv.shape[1]
         if mask is not None and mask.shape != (tq, tk):
             raise ValueError(f"mask shape {mask.shape} does not match ({tq}, {tk})")
+        k, v = self.keys_values(xkv)
         mixed = ad.transpose(self._attend(self._split(self.wq(xq)), k, v, mask), (0, 2, 1, 3))
         return self.wo(ad.reshape(mixed, (b, tq, self.d)))
 
@@ -230,8 +227,7 @@ class EncoderLayer:
 
     def __call__(self, x: Tensor, train: bool, rng) -> Tensor:
         normed = self.ln1(x)
-        x = _residual(x, self.attn(normed, self.attn.keys_values(normed)),
-                      self.dropout, train, rng)
+        x = _residual(x, self.attn(normed, normed), self.dropout, train, rng)
         x = _residual(x, self.ffn(self.ln2(x), self.dropout, train, rng),
                       self.dropout, train, rng)
         return x
@@ -253,14 +249,13 @@ class DecoderLayer:
         self.ffn = FeedForward(cfg.d, cfg.ffn_dim, rng)
         self.dropout = cfg.dropout
 
-    def __call__(self, x: Tensor, cross_kv: tuple[Tensor, Tensor], mask: np.ndarray | None,
+    def __call__(self, x: Tensor, memory: Tensor, mask: np.ndarray | None,
                  train: bool, rng) -> Tensor:
         """Positions x (B, T, d) attend over each other under `mask`, then
-        over the memory's `cross_kv`."""
+        over the encoder `memory` (B, S, d)."""
         normed = self.ln1(x)
-        x = _residual(x, self.self_attn(normed, self.self_attn.keys_values(normed), mask),
-                      self.dropout, train, rng)
-        x = _residual(x, self.cross_attn(self.ln2(x), cross_kv), self.dropout, train, rng)
+        x = _residual(x, self.self_attn(normed, normed, mask), self.dropout, train, rng)
+        x = _residual(x, self.cross_attn(self.ln2(x), memory), self.dropout, train, rng)
         x = _residual(x, self.ffn(self.ln3(x), self.dropout, train, rng),
                       self.dropout, train, rng)
         return x
@@ -300,22 +295,17 @@ class DecoderCache:
     computed once, and the self-attention keys and values (R, h, t, d_k) of
     every position decoded so far, one row per live sequence. Rows are
     ordered clip by clip; `row_clip[r]` is row r's clip, an index into the
-    cross-attention arrays."""
+    cross-attention arrays. Decoding starts with one row per clip."""
 
     def __init__(self, cross_kv: list[tuple[Tensor, Tensor]], clips: int):
         self.cross_kv = cross_kv
         self.self_kv: list[tuple[Tensor, Tensor] | None] = [None] * len(cross_kv)
         self.clips = clips
-        self.row_clip: np.ndarray | None = None  # placed by the first step
+        self.row_clip = np.arange(clips)
 
     def slots(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """(clip, place) of each of a step's `rows` rows: its clip and its
-        index among that clip's rows. The first step's rows are dealt to the
-        clips evenly, in order."""
-        if self.row_clip is None:
-            if rows % self.clips:
-                raise ValueError(f"{rows} first rows do not divide among {self.clips} clips")
-            self.row_clip = np.repeat(np.arange(self.clips), rows // self.clips)
+        index among that clip's rows."""
         if rows != self.row_clip.size:
             raise ValueError(f"{rows} rows for a cache of {self.row_clip.size}")
         counts = np.bincount(self.row_clip)
@@ -352,8 +342,8 @@ class CaptionerModel:
     decoder. Tagging pretraining builds the encoder-only model: its
     parameters are the `enc.*` and `tag_head.*` of the full one. With seed
     None every parameter is a placeholder (see `_param`): nothing is drawn,
-    and `load_model_state(..., share=True)` binds stored arrays in their
-    place, for inference."""
+    and `load_model_state` binds stored arrays in their place, for
+    inference."""
 
     def __init__(self, enc: EncoderConfig, dec: DecoderConfig | None, num_tags: int,
                  seed: int | None = 0, word_embeddings: np.ndarray | None = None):
@@ -454,7 +444,7 @@ class CaptionerModel:
         x = ad.embedding(self.word_embed, token_ids)
         mask = causal_mask(t)
         for layer in self.dec_layers:
-            x = layer(x, layer.cross_attn.keys_values(memory), mask, train, rng)
+            x = layer(x, memory, mask, train, rng)
         return self.out_proj(self.dec_final_ln(x))
 
     def start_decoding(self, memory: Tensor) -> DecoderCache:
@@ -497,9 +487,3 @@ class CaptionerModel:
 
     def tagging_probabilities(self, encoded: Tensor) -> Tensor:
         return ad.sigmoid(self.tagging_logits(encoded))
-
-    # ----- single-clip conveniences --------------------------------------
-    def encode_clip(self, patch_seq: PatchSequence, train: bool = False,
-                    rng: np.random.Generator | None = None) -> Tensor:
-        embedded = self.embed_patches(patch_seq.patches[None, :, :])
-        return self.encode(embedded, train, rng)

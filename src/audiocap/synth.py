@@ -183,8 +183,6 @@ def make_corpus(count: int, seed, max_events: int = 2) -> list[ClipRecord]:
         clip_seed = [seed, i] if np.isscalar(seed) else list(seed) + [i]
         rng = np.random.default_rng(clip_seed)
         events = random_events(rng, max_events=max_events)
-        if not events:
-            events = [Event(kind="tone", onset=0.0, duration=2.0, freq=440.0)]
         waveform, caption, tags = synthesize_event_clip(events, clip_seed)
         records.append(ClipRecord(
             clip_id=f"clip{i:04d}", events=events, caption=caption,

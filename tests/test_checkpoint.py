@@ -50,6 +50,25 @@ def test_load_into_fresh_model(tmp_path):
         np.testing.assert_array_equal(a.data, b.data)
 
 
+def test_load_leaves_trainable_parameters_writable_and_unaliased(tmp_path):
+    # a model built to train gets copies: Adam updates them in place, and the
+    # checkpoint's read-only bytes are never its parameters
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, Checkpoint(kind="caption", config={}, vocab=None, tags=None,
+                                     tensors=model_state(small_model(seed=5))))
+    stored = load_checkpoint(path).tensors
+    target = small_model(seed=6)
+    arrays = {name: p.data for name, p in target.named_parameters()}
+    load_model_state(target, stored)
+    for name, p in target.named_parameters():
+        assert p.data is arrays[name] and p.requires_grad, name
+        assert p.data.flags.writeable and not np.shares_memory(p.data, stored[name]), name
+        np.testing.assert_array_equal(p.data, stored[name])
+        p.data += 1.0
+    for name, arr in model_state(small_model(seed=5)).items():
+        np.testing.assert_array_equal(stored[name], arr)
+
+
 def test_prefix_load_touches_only_encoder(tmp_path):
     source = small_model(seed=3)
     path = tmp_path / "model.bin"

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from audiocap import autodiff, cli, data
+from audiocap import atomic, autodiff, cli, data
 from audiocap.checkpoint import Checkpoint, load_checkpoint, model_state, save_checkpoint
 from audiocap.cli import _load_config, build_parser, main
 from audiocap.config import (RunConfig, ValidationError, load_run_config,
@@ -82,6 +82,50 @@ def test_synth_data_reproducible(tmp_path):
 def test_synth_data_rejects_zero_count(tmp_path, capsys):
     assert main(["synth-data", "--count", "0", "--out", str(tmp_path / "x")]) == 3
     assert "count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_synth_data_rejects_max_events_below_one(tmp_path, capsys, value):
+    out = tmp_path / "x"
+    assert main(["synth-data", "--count", "2", "--max-events", value,
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "--max-events must be >= 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["clip0001.wav", "captions.jsonl", "tags.jsonl"])
+def test_failed_synth_write_keeps_earlier_file_whole(tmp_path, monkeypatch, capsys,
+                                                     target):
+    # the same corpus is written again, and the write of `target` runs out of
+    # space halfway: every file, `target` included, keeps its earlier bytes
+    out = tmp_path / "corpus"
+    args = ["synth-data", "--count", "2", "--seed", "1", "--out", str(out)]
+    assert main(args) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    class HalfWritten:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    def open_(path, mode):
+        f = open(path, mode)
+        return HalfWritten(f) if target in Path(path).name else f
+
+    monkeypatch.setattr(atomic, "open", open_, raising=False)
+    assert main(args) == 4
+    assert "No space" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +501,24 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, corpus):
     assert a.optimizer.keys() == b.optimizer.keys() and a.optimizer
     for name, arr in a.optimizer.items():
         np.testing.assert_array_equal(arr, b.optimizer[name], err_msg=name)
+
+
+def test_resume_skips_word2vec(tmp_path, corpus, monkeypatch):
+    # a resumed run loads every word embedding from its checkpoint, so
+    # word2vec embeddings trained first would be overwritten unread
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    train = ["train", "--manifest", str(corpus / "captions.jsonl"), "--out", str(out)]
+    assert main(train + ["--config", str(cfg)]) == 0
+    final = sha(out / "model.bin")
+    (out / "ckpt_epoch_0002.bin").unlink()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("word2vec trained on --resume")
+
+    monkeypatch.setattr(cli, "train_skipgram", refuse)
+    assert main(train + ["--resume"]) == 0
+    assert sha(out / "model.bin") == final
 
 
 def test_resume_drops_metrics_logged_past_the_checkpoint(tmp_path, corpus):

@@ -49,20 +49,34 @@ def test_decode_step_equals_last_row_of_full_decode(seed):
     memory = toy_memory(model, seed)
     rng = np.random.default_rng(seed + 200)
     cache = model.start_decoding(memory)
-    prefixes = [[SOS], [SOS], [SOS]]
+    prefixes = [[SOS]]
     for t in range(7):
+        if t == 1:
+            # three continuations of the one <sos> row
+            cache.reorder([0, 0, 0])
+            prefixes = [list(prefixes[0]) for _ in range(3)]
+            # the newest tokens are not in the cache yet, so they may differ
+            prefixes[1][-1], prefixes[2][-1] = 6, 7
         if t == 3:
             # keep the third sequence twice and the first once, drop the second
             cache.reorder([2, 2, 0])
             prefixes = [list(prefixes[2]), list(prefixes[2]), list(prefixes[0])]
-            # the newest tokens are not in the cache yet, so they may differ
             prefixes[0][-1], prefixes[1][-1] = 6, 7
         logits = model.decode_step([p[-1] for p in prefixes], cache).data
-        assert logits.shape == (3, 8)
+        assert logits.shape == (len(prefixes), 8)
         expected = full_prefix_last_rows(model, memory, prefixes)
         assert np.max(np.abs(logits - expected)) <= 1e-12
         for p in prefixes:
             p.append(int(rng.integers(4, 8)))
+
+
+@pytest.mark.parametrize("clips,rows", [(1, 3), (2, 1), (2, 4)])
+def test_first_decode_step_needs_one_row_per_clip(clips, rows):
+    model = toy_model()
+    memory = ad.concat([toy_memory(model, seed) for seed in range(clips)], axis=0)
+    cache = model.start_decoding(memory)
+    with pytest.raises(ValueError, match=f"{rows} rows for a cache of {clips}"):
+        model.decode_step([SOS] * rows, cache)
 
 
 def test_decode_step_attention_weight_shapes():

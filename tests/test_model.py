@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from audiocap import autodiff as ad
-from audiocap.audio import PatchSequence
 from audiocap.model import (DECODER_PRESETS, CaptionerModel, DecoderConfig,
                             EncoderConfig, MultiHeadAttention, causal_mask,
                             decoder_preset)
@@ -84,7 +83,7 @@ def test_attention_single_key_weight_is_one():
     attn = MultiHeadAttention(8, 2, rng)
     xq = ad.Tensor(rand((1, 1, 8), 1))
     xkv = ad.Tensor(rand((1, 1, 8), 2))
-    out = attn(xq, attn.keys_values(xkv))
+    out = attn(xq, xkv)
     np.testing.assert_allclose(attn.last_weights, np.ones((1, 2, 1, 1)))
     v = xkv.data @ attn.wv.w.data
     np.testing.assert_allclose(out.data, v @ attn.wo.w.data, atol=1e-12)
@@ -95,7 +94,7 @@ def test_attention_identical_keys_uniform_weights():
     attn = MultiHeadAttention(8, 2, rng)
     xq = ad.Tensor(rand((1, 3, 8), 3))
     xkv = ad.Tensor(np.tile(rand((1, 1, 8), 4), (1, 5, 1)))
-    attn(xq, attn.keys_values(xkv))
+    attn(xq, xkv)
     np.testing.assert_allclose(attn.last_weights, np.full((1, 2, 3, 5), 0.2),
                                atol=1e-12)
 
@@ -105,7 +104,7 @@ def test_attention_matches_dense_oracle_single_head():
     rng = np.random.default_rng(2)
     attn = MultiHeadAttention(4, 1, rng)
     x = rand((2, 4), seed=5)
-    out = attn(ad.Tensor(x[None]), attn.keys_values(ad.Tensor(x[None]))).data[0]
+    out = attn(ad.Tensor(x[None]), ad.Tensor(x[None])).data[0]
 
     q, k, v = x @ attn.wq.w.data, x @ attn.wk.w.data, x @ attn.wv.w.data
     scores = q @ k.T / np.sqrt(4)
@@ -120,7 +119,7 @@ def test_attention_mask_shape_mismatch_rejected():
     attn = MultiHeadAttention(8, 2, rng)
     x = ad.Tensor(rand((1, 3, 8)))
     with pytest.raises(ValueError):
-        attn(x, attn.keys_values(x), mask=np.zeros((2, 2)))
+        attn(x, x, mask=np.zeros((2, 2)))
 
 
 def test_attention_rows_are_distributions():
@@ -200,9 +199,10 @@ def test_decoder_layer_past_kv_matches_whole_prefix():
     # is the only row of clip r
     model = small_model()
     layer = model.dec_layers[0]
-    cross_kv = layer.cross_attn.keys_values(ad.Tensor(rand((2, 5, 16), 13)))
+    memory = ad.Tensor(rand((2, 5, 16), 13))
+    cross_kv = layer.cross_attn.keys_values(memory)
     x = ad.Tensor(rand((2, 4, 16), 14))
-    whole = layer(x, cross_kv, causal_mask(4), False, None)
+    whole = layer(x, memory, causal_mask(4), False, None)
     k, v = layer.self_attn.keys_values(layer.ln1(x))
     slots = (np.arange(2), np.zeros(2, dtype=int))
     past_kv = None
@@ -353,10 +353,3 @@ def test_decoder_presets_match_published_table():
     assert DECODER_PRESETS["small"] == dict(d=512, layers=2, heads=4, ffn_dim=2048)
     assert DECODER_PRESETS["medium"] == dict(d=512, layers=4, heads=8, ffn_dim=2048)
     assert DECODER_PRESETS["large"] == dict(d=512, layers=6, heads=8, ffn_dim=2048)
-
-
-def test_encode_clip_convenience():
-    model = small_model()
-    patches = PatchSequence(patches=rand((4, 8), 18), frames_per_patch=2)
-    out = model.encode_clip(patches)
-    assert out.shape == (1, 5, 16)
