@@ -2,12 +2,12 @@
 
 Only the primitives the captioning model needs: elementwise arithmetic with
 broadcasting, (batched) matmul, reductions, indexing, softmax/log-softmax,
-GELU, sigmoid forms, dropout and embedding lookup. Single-threaded graph
-semantics. A primitive's output keeps one edge, an (input, rule) pair, per
-input that requires grad: rule(g) maps the output's gradient g to that
-input's. Inputs that need no gradient get no edge, so their gradient is never
-computed. Only leaves (tensors made with requires_grad=True) hold a `.grad`;
-it accumulates until explicitly zeroed.
+scaled dot-product attention, layer norm, GELU, sigmoid forms, dropout and
+embedding lookup. Single-threaded graph semantics. A primitive's output keeps
+one edge, an (input, rule) pair, per input that requires grad: rule(g) maps
+the output's gradient g to that input's. Inputs that need no gradient get no
+edge, so their gradient is never computed. Only leaves (tensors made with
+requires_grad=True) hold a `.grad`; it accumulates until explicitly zeroed.
 """
 
 from __future__ import annotations
@@ -249,13 +249,43 @@ def gelu(a) -> Tensor:
     """Exact-erf GELU: x * Phi(x)."""
     a = _as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = np.multiply(x, _INV_SQRT2)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def rule(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        return g * (cdf + x * pdf)
+        # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi)
+        out = np.multiply(x, -0.5)
+        out *= x
+        np.exp(out, out=out)
+        out *= _INV_SQRT2PI
+        out *= x
+        out += cdf
+        out *= g
+        return out
 
     return _make(x * cdf, (a, rule))
+
+
+def _softmax(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Max-subtracted softmax of `x` along `axis`, written into `out` (a new
+    array when None, `x` itself to compute in place)."""
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _softmax_grad(g: np.ndarray, w: np.ndarray, axis: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The gradient w * (g - sum(g * w)) through softmax weights `w`, written
+    into `out` (a new array when None; `g` itself when the caller owns it)."""
+    gw = np.multiply(g, w)
+    dot = gw.sum(axis=axis, keepdims=True)
+    out = np.subtract(g, dot, out=gw if out is None else out)
+    out *= w
+    return out
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -263,15 +293,48 @@ def softmax(a, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
     if not -a.ndim <= axis < a.ndim:
         raise ValueError(f"softmax axis {axis} out of range for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = _softmax(a.data, axis)
+    return _make(out_data, (a, lambda g: _softmax_grad(g, out_data, axis)))
 
-    def rule(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        return out_data * (g - dot)
 
-    return _make(out_data, (a, rule))
+def attention(q, k, v, scale: float,
+              mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """softmax(q @ k^T * scale + mask) @ v on the last two axes, leading axes
+    broadcast: one node that keeps only the weights, one (..., Tq, Tk) array
+    whose scores are scaled, masked and normalised in place. Returns the
+    output and the weights. The same ufuncs run in the same order as the
+    chain matmul, mul, add, softmax, matmul, so the bytes equal that chain's.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    w = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    w *= scale
+    if mask is not None:
+        w += mask  # -inf logits never receive weight
+    _softmax(w, -1, out=w)
+    # q's rule leaves the score gradient here when k's rule also reads it
+    shared: list[np.ndarray] = []
+
+    def score_grad(g):
+        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        _softmax_grad(gs, w, -1, out=gs)
+        gs *= scale
+        return gs
+
+    def q_rule(g):
+        gs = score_grad(g)
+        if k.requires_grad:
+            shared.append(gs)
+        return _unbroadcast(np.matmul(gs, k.data), q.shape)
+
+    def k_rule(g):
+        gs = shared.pop() if q.requires_grad else score_grad(g)
+        gk = _unbroadcast(np.matmul(np.swapaxes(q.data, -1, -2), gs),
+                          k.shape[:-2] + (k.shape[-1], k.shape[-2]))
+        return np.swapaxes(gk, -1, -2)
+
+    return _make(np.matmul(w, v.data), (q, q_rule), (k, k_rule),
+                 (v, lambda g: _unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g),
+                                            v.shape))), w
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
@@ -323,16 +386,24 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.shape[-1] == 0:
         raise ValueError("layer_norm over an empty last axis")
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
-    xhat = centered * inv
+    n = x.shape[-1]
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    out = np.multiply(xhat, xhat)
+    inv = (out.sum(axis=-1, keepdims=True) / n + eps) ** -0.5
+    xhat *= inv
 
     def x_rule(g):
         gx = g * gamma.data
-        return inv * (gx - gx.mean(axis=-1, keepdims=True)
-                      - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        gxhat = np.multiply(gx, xhat)
+        np.multiply(xhat, gxhat.sum(axis=-1, keepdims=True) / n, out=gxhat)
+        gx -= gx.sum(axis=-1, keepdims=True) / n
+        gx -= gxhat
+        gx *= inv
+        return gx
 
-    return _make(xhat * gamma.data + beta.data, (x, x_rule),
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
+    return _make(out, (x, x_rule),
                  (gamma, lambda g: _unbroadcast(g * xhat, gamma.shape)),
                  (beta, lambda g: _unbroadcast(g, beta.shape)))
 

@@ -32,7 +32,7 @@ from .decoding import beam_search_clips
 from .metrics import evaluate_captions
 from .model import CaptionerModel
 from .optim import Adam
-from .synth import make_corpus
+from .synth import MAX_EVENTS, make_corpus
 from .text import (Vocabulary, build_vocabulary, decode as decode_tokens,
                    save_vocabulary, tokenize_caption)
 from .training import (EpochStats, pretrain_tagging, train_captioner,
@@ -55,6 +55,9 @@ def cmd_synth_data(args) -> int:
         raise ValidationError("--count must be >= 1")
     if args.max_events < 1:
         raise ValidationError("--max-events must be >= 1")
+    if args.max_events > MAX_EVENTS:
+        raise ValidationError(f"--max-events must be <= {MAX_EVENTS}: a clip holds "
+                              f"at most {MAX_EVENTS} events")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = make_corpus(args.count, args.seed, max_events=args.max_events)

@@ -146,13 +146,8 @@ class MultiHeadAttention:
                 mask: np.ndarray | None = None) -> Tensor:
         """Head-split queries (G, h, Tq, d_k) over keys and values
         (G, h, Tk, d_k) -> (G, h, Tq, d_k)."""
-        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                        1.0 / np.sqrt(self.d_k))
-        if mask is not None:
-            scores = ad.add(scores, mask)  # -inf logits never receive weight
-        attn = ad.softmax(scores, axis=-1)
-        self.last_weights = attn.data
-        return ad.matmul(attn, v)
+        out, self.last_weights = ad.attention(q, k, v, 1.0 / np.sqrt(self.d_k), mask)
+        return out
 
     def __call__(self, xq: Tensor, xkv: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Attend from queries `xq` (B, Tq, d) over keys and values projected

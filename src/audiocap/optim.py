@@ -33,13 +33,23 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + EPSILON), with two temporaries
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
+            tmp = np.multiply(g, 1.0 - BETA1)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += tmp
+            np.multiply(g, 1.0 - BETA2, out=tmp)
+            tmp *= g
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
+            v += tmp
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += EPSILON
+            step = np.divide(m, bc1)
+            step *= lr
+            step /= tmp
+            p.data -= step
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -40,6 +40,10 @@ TONE_FREQS = (220.0, 330.0, 440.0, 660.0, 880.0, 1320.0)
 CHIRP_START_FREQS = (200.0, 300.0, 400.0, 500.0)
 NOISE_AMPLITUDES = (0.15, 0.45)
 
+# events last at least 1.5 s with gaps of at least 0.5 s, so a 10 s clip
+# holds at most 5 (9.5 s); a sixth never fits
+MAX_EVENTS = 5
+
 
 @dataclass
 class Event:
@@ -153,6 +157,9 @@ class ClipRecord:
 
 def random_events(rng: np.random.Generator, max_events: int = 2) -> list[Event]:
     """Draw 1..max_events non-overlapping events on a coarse time grid."""
+    if max_events > MAX_EVENTS:
+        raise ValueError(f"max_events must be <= {MAX_EVENTS}, got {max_events}: "
+                         f"a {CLIP_SECONDS:g} s clip holds at most {MAX_EVENTS} events")
     n_events = int(rng.integers(1, max_events + 1))
     kinds = [KIND_TAGS[int(rng.integers(len(KIND_TAGS)))] for _ in range(n_events)]
     events = []

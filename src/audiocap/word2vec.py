@@ -57,17 +57,21 @@ def train_skipgram(corpus: list[list[str]], vocab: Vocabulary, dim: int,
     w_out = np.zeros((len(vocab), dim))
 
     pair_arr = np.array(pairs)
+    # the inverse-CDF draws rng.choice(len(vocab), p=noise) makes, taken for a
+    # whole epoch at once from the same stream
+    cdf = noise.cumsum()
+    cdf /= cdf[-1]
+    labels = np.zeros(negatives + 1)
+    labels[0] = 1.0
     losses = []
     for _ in range(epochs):
         order = rng.permutation(len(pair_arr))
+        drawn = cdf.searchsorted(rng.random((len(order), negatives)), side="right")
         total = 0.0
-        for idx in order:
+        for idx, negs in zip(order, drawn):
             center, context = pair_arr[idx]
             v = w_in[center]
-            targets = np.concatenate(
-                [[context], rng.choice(len(vocab), size=negatives, p=noise)])
-            labels = np.zeros(len(targets))
-            labels[0] = 1.0
+            targets = np.concatenate([[context], negs])
             u = w_out[targets]
             scores = u @ v
             probs = stable_sigmoid(scores)

@@ -127,6 +127,61 @@ def test_layer_norm_backward_matches_composite(shape, eps):
 
 
 # ---------------------------------------------------------------------------
+# attention
+# ---------------------------------------------------------------------------
+
+CAUSAL = np.triu(np.full((3, 3), -np.inf), 1)
+
+
+def attend(q, k, v, mask=None):
+    """ad.attention at d_k 3 (a scale that is not a power of two), output only."""
+    return ad.attention(q, k, v, 1.0 / np.sqrt(3.0), mask)[0]
+
+
+def composite_attention(q, k, v, scale, mask):
+    """Attention as the five-node chain the fused op replaced: its reference."""
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
+    if mask is not None:
+        scores = ad.add(scores, mask)
+    weights = ad.softmax(scores, axis=-1)
+    return ad.matmul(weights, v), weights.data
+
+
+# (q shape, k and v shape, mask)
+ATTN_CASES = {
+    "self_causal": ((2, 2, 3, 3), (2, 2, 3, 3), CAUSAL),
+    "cross_unmasked": ((2, 2, 3, 3), (2, 2, 5, 3), None),
+    "cross_kv_batch_1": ((2, 2, 3, 3), (1, 2, 5, 3), None),
+    "rows_one_query": ((4, 2, 1, 3), (4, 2, 5, 3), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ATTN_CASES))
+def test_attention_bytes_equal_composite(name):
+    # forward output, weights and every input's gradient, byte for byte
+    q_shape, kv_shape, mask = ATTN_CASES[name]
+    probe = Tensor(rand(q_shape, seed=9))
+    results = []
+    for op in (ad.attention, composite_attention):
+        q = Tensor(rand(q_shape, seed=1) * 2.0, requires_grad=True)
+        k = Tensor(rand(kv_shape, seed=2) * 2.0, requires_grad=True)
+        v = Tensor(rand(kv_shape, seed=3), requires_grad=True)
+        out, weights = op(q, k, v, 1.0 / np.sqrt(3.0), mask)
+        ad.backward(ad.sum_(ad.mul(out, probe)))
+        results.append((out.data, weights, q.grad, k.grad, v.grad))
+    for fused, ref in zip(*results):
+        assert fused.shape == ref.shape
+        assert fused.tobytes() == ref.tobytes()
+
+
+def test_attention_causal_mask_zeroes_future_weights():
+    x = Tensor(rand((1, 1, 3, 3)))
+    _, weights = ad.attention(x, x, x, 1.0, CAUSAL)
+    assert np.all(weights[..., CAUSAL == -np.inf] == 0.0)
+    np.testing.assert_allclose(weights.sum(axis=-1), np.ones((1, 1, 3)), atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # gelu
 # ---------------------------------------------------------------------------
 
@@ -249,6 +304,8 @@ CONSTANT_INPUT_CASES = {
     "matmul_constant_patches": ((6, 4), lambda t: ad.matmul(Tensor(rand((2, 5, 6), 1)), t)),
     "add_causal_mask": ((2, 3, 4, 4), lambda t: ad.add(
         t, Tensor(np.triu(np.full((4, 4), -1e9), 1)))),
+    "attention_constant_keys_values": ((2, 2, 3, 3), lambda t: attend(
+        t, Tensor(rand((1, 2, 5, 3), 1)), Tensor(rand((1, 2, 5, 3), 2)))),
 }
 
 
@@ -355,6 +412,26 @@ FD_CASES = {
         ad.embedding(t, np.array([[0, 2], [4, 2]])), Tensor(rand((2, 2, 3), 1))))),
     "dropout": ((4, 4), lambda t: ad.sum_(
         ad.dropout(t, 0.3, np.random.default_rng(11)))),
+    "attention_q_causal": ((2, 2, 3, 3), lambda t: ad.sum_(ad.mul(attend(
+        t, Tensor(rand((2, 2, 3, 3), 1)), Tensor(rand((2, 2, 3, 3), 2)), CAUSAL),
+        Tensor(rand((2, 2, 3, 3), 3))))),
+    "attention_k_causal": ((2, 2, 3, 3), lambda t: ad.sum_(ad.mul(attend(
+        Tensor(rand((2, 2, 3, 3), 1)), t, Tensor(rand((2, 2, 3, 3), 2)), CAUSAL),
+        Tensor(rand((2, 2, 3, 3), 3))))),
+    "attention_v_causal": ((2, 2, 3, 3), lambda t: ad.sum_(ad.mul(attend(
+        Tensor(rand((2, 2, 3, 3), 1)), Tensor(rand((2, 2, 3, 3), 2)), t, CAUSAL),
+        Tensor(rand((2, 2, 3, 3), 3))))),
+    "attention_q_kv_batch_1": ((2, 2, 3, 3), lambda t: ad.sum_(ad.mul(attend(
+        t, Tensor(rand((1, 2, 5, 3), 1)), Tensor(rand((1, 2, 5, 3), 2))),
+        Tensor(rand((2, 2, 3, 3), 3))))),
+    "attention_k_batch_1": ((1, 2, 5, 3), lambda t: ad.sum_(ad.mul(attend(
+        Tensor(rand((2, 2, 3, 3), 1)), t, Tensor(rand((1, 2, 5, 3), 2))),
+        Tensor(rand((2, 2, 3, 3), 3))))),
+    "attention_v_batch_1": ((1, 2, 5, 3), lambda t: ad.sum_(ad.mul(attend(
+        Tensor(rand((2, 2, 3, 3), 1)), Tensor(rand((1, 2, 5, 3), 2)), t),
+        Tensor(rand((2, 2, 3, 3), 3))))),
+    "attention_qkv_one_tensor_causal": ((2, 2, 3, 3), lambda t: ad.sum_(ad.mul(
+        attend(t, t, t, CAUSAL), Tensor(rand((2, 2, 3, 3), 3))))),
 }
 
 

@@ -94,6 +94,16 @@ def test_synth_data_rejects_max_events_below_one(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_synth_data_rejects_max_events_above_five(tmp_path, capsys):
+    # 5 events of 1.5 s with 0.5 s gaps fill 9.5 s of a 10 s clip
+    out = tmp_path / "x"
+    assert main(["synth-data", "--count", "2", "--max-events", "6",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "--max-events must be <= 5" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["clip0001.wav", "captions.jsonl", "tags.jsonl"])
 def test_failed_synth_write_keeps_earlier_file_whole(tmp_path, monkeypatch, capsys,
                                                      target):

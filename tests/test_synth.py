@@ -95,6 +95,15 @@ def test_random_events_fit_the_clip():
             assert e.onset + e.duration <= 10.0
 
 
+def test_random_events_at_most_five():
+    # 5 events of 1.5 s with 0.5 s gaps fill 9.5 s, so a sixth never fits
+    counts = {len(random_events(np.random.default_rng(seed), max_events=5))
+              for seed in range(300)}
+    assert counts <= {1, 2, 3, 4, 5} and 4 in counts
+    with pytest.raises(ValueError, match="at most 5 events"):
+        random_events(np.random.default_rng(0), max_events=6)
+
+
 def test_event_json_round_trip():
     e = Event(kind="chirp", onset=1.5, duration=2.0, freq=300.0, freq_end=900.0)
     assert Event.from_json(e.to_json()) == e

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from audiocap.text import build_vocabulary
+from audiocap.synth import CHIRP_PHRASES, NOISE_PHRASES, TONE_PHRASES
 from audiocap.word2vec import skipgram_pairs, train_skipgram
+from word2vec_reference import train_skipgram_reference
 
 
 def test_pair_enumeration_window_two():
@@ -79,3 +81,24 @@ def test_bad_hyperparameters_rejected():
         train_skipgram(corpus, vocab, dim=4, window=0, epochs=1, seed=0)
     with pytest.raises(ValueError):
         train_skipgram(corpus, vocab, dim=4, negatives=0, epochs=1, seed=0)
+
+
+def _caption_corpus():
+    # caption-like sentences of 4 to 14 tokens over uneven word counts
+    phrases = [*TONE_PHRASES.values(), *NOISE_PHRASES.values(), *CHIRP_PHRASES.values()]
+    return [f"{phrases[i % 7]} then {phrases[(3 * i + 1) % 7]}".split() if i % 3
+            else phrases[i % 7].split() for i in range(12)]
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("negatives", [1, 5])
+@pytest.mark.parametrize("window", [1, 2])
+def test_epoch_negative_draws_equal_per_pair_reference(seed, negatives, window):
+    corpus = _caption_corpus()
+    vocab = build_vocabulary(corpus, min_count=1)
+    got = train_skipgram(corpus, vocab, dim=6, window=window, negatives=negatives,
+                         epochs=3, seed=seed)
+    emb, losses = train_skipgram_reference(corpus, vocab, dim=6, window=window,
+                                           negatives=negatives, epochs=3, seed=seed)
+    assert got.embeddings.tobytes() == emb.tobytes()
+    assert got.epoch_losses == losses
