@@ -3,11 +3,14 @@
 Only the primitives the captioning model needs: elementwise arithmetic with
 broadcasting, (batched) matmul, reductions, indexing, softmax/log-softmax,
 scaled dot-product attention, layer norm, GELU, sigmoid forms, dropout and
-embedding lookup. Single-threaded graph semantics. A primitive's output keeps
-one edge, an (input, rule) pair, per input that requires grad: rule(g) maps
-the output's gradient g to that input's. Inputs that need no gradient get no
-edge, so their gradient is never computed. Only leaves (tensors made with
-requires_grad=True) hold a `.grad`; it accumulates until explicitly zeroed.
+embedding lookup. GELU's erf is `_erf`, in numpy: fdlibm's `s_erf.c`
+(after Cody 1969) for |x| < 0.84375 and `math.erf` past it, so numpy is the
+only dependency. Single-threaded graph semantics. A primitive's output
+keeps one edge, an (input, rule) pair, per input that requires grad:
+rule(g) maps the output's gradient g to that input's. Inputs that need no
+gradient get no edge, so their gradient is never computed. Only leaves
+(tensors made with requires_grad=True) hold a `.grad`; it accumulates until
+explicitly zeroed.
 """
 
 from __future__ import annotations
@@ -17,12 +20,24 @@ import math
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import erf
 
 _GRAD_ENABLED = True
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+# fdlibm s_erf.c (Sun Microsystems, after W. J. Cody, "Rational Chebyshev
+# approximations for the error function", Math. Comp. 23, 1969): for
+# |x| < 0.84375, erf(x) = x + x * P(x^2) / Q(x^2). Held as 0-d arrays: an
+# in-place op dispatches faster with one than with a float, to the same bits.
+_ERF_PP = tuple(np.array(c) for c in (
+    1.28379167095512558561e-01, -3.25042107247001499370e-01, -2.84817495755985104766e-02,
+    -5.77027029648944159157e-03, -2.37630166566501626084e-05))
+_ERF_QQ = tuple(np.array(c) for c in (
+    1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02,
+    5.08130628187576562776e-03, 1.32494738004321644526e-04, -3.96022827877536812320e-06))
+# x * x >= 0.84375 ** 2 (exact: 729 / 1024) exactly when |x| >= 0.84375
+_ERF_TAIL_SQ = 0.84375 ** 2
 
 
 class NumericError(RuntimeError):
@@ -245,12 +260,54 @@ def logsigmoid(a) -> Tensor:
     return _make(out_data, (a, lambda g: g * stable_sigmoid(-x)))
 
 
+def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """erf(x) into `out` (`x` itself to compute in place), at most 1 ulp
+    from `math.erf`. Every element runs fdlibm's first branch,
+    x + x * P(x^2) / Q(x^2), Horner in place; those with |x| >= 0.84375
+    (±inf included) are gathered first and then set from `math.erf`. NaN
+    stays NaN through the first branch. An element's bits depend only on
+    its value, not on the array around it."""
+    pp0, pp1, pp2, pp3, pp4 = _ERF_PP
+    qq0, qq1, qq2, qq3, qq4, qq5 = _ERF_QQ
+    # x * x overflows, and inf / inf makes NaN, only in the tail, reset below
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.multiply(x, x)
+        tail = (z >= _ERF_TAIL_SQ).ravel().nonzero()[0]
+        if tail.size:
+            tail_x = x.ravel()[tail].tolist()
+        r = np.multiply(z, pp4)
+        r += pp3
+        r *= z
+        r += pp2
+        r *= z
+        r += pp1
+        r *= z
+        r += pp0
+        s = np.multiply(z, qq5)
+        s += qq4
+        s *= z
+        s += qq3
+        s *= z
+        s += qq2
+        s *= z
+        s += qq1
+        s *= z
+        s += qq0
+        r /= s
+        r *= x
+        np.add(x, r, out=out)
+    if tail.size:
+        out.flat[tail] = np.fromiter(map(math.erf, tail_x), np.float64, tail.size)
+    return out
+
+
 def gelu(a) -> Tensor:
-    """Exact-erf GELU: x * Phi(x)."""
+    """Exact-erf GELU: x * Phi(x), Phi(x) = (1 + erf(x / sqrt(2))) / 2, with
+    erf from `_erf` (fdlibm's `s_erf.c`, after Cody 1969)."""
     a = _as_tensor(a)
     x = a.data
     cdf = np.multiply(x, _INV_SQRT2)
-    erf(cdf, out=cdf)
+    _erf(cdf, cdf)
     cdf += 1.0
     cdf *= 0.5
 

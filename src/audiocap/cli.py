@@ -195,10 +195,15 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
               for rec in records]
     if any(not sent for sent in corpus):
         raise ValidationError("every caption-training record needs a caption")
-    if resume_ckpt is not None:
-        vocab = Vocabulary(id_to_word=list(resume_ckpt.vocab))
-    else:
-        vocab = build_vocabulary(corpus, min_count=cfg.min_count)
+    vocab = build_vocabulary(corpus, min_count=cfg.min_count)
+    if resume_ckpt is not None and vocab.id_to_word != resume_ckpt.vocab:
+        pair = list(zip(vocab.id_to_word, resume_ckpt.vocab))
+        i = next((i for i, (a, b) in enumerate(pair) if a != b), len(pair))
+        ours, theirs = (repr(words[i]) if i < len(words) else "no word"
+                        for words in (vocab.id_to_word, resume_ckpt.vocab))
+        raise ValidationError(
+            f"--resume: {args.manifest} gives another vocabulary than {latest}: "
+            f"id {i} is {ours} in the manifest, {theirs} in the checkpoint")
     clips = load_caption_clips(records, cfg.frontend, vocab, base_dir)
     tags = sorted({t for rec in records for t in rec.tags})
 
@@ -430,6 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "resume", False):
+        # the checkpoint holds the config, the seed and every weight
+        ignored = [f"--{flag}" for flag in ("config", "seed", "init")
+                   if getattr(args, flag) is not None]
+        if ignored:
+            parser.error(f"train --resume continues the checkpoint's run and "
+                         f"cannot take {', '.join(ignored)}")
     try:
         return args.func(args)
     except (ValueError, NumericError) as exc:  # ValidationError included

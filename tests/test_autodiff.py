@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +194,83 @@ def test_gelu_values():
     assert abs(out[1] - 10.0) < 1e-6
     # frozen from a high-precision erf evaluation: 1 * Phi(1)
     assert abs(out[2] - 0.8413447460685429) < 1e-12
+    # x / sqrt(2) in each of fdlibm's erf regions: < 0.84375, < 1.25,
+    # < 1 / 0.35, < 6 and past 6
+    x = np.array([0.5, -1.5, 2.5, 5.0, 9.0])
+    expected = [v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x]
+    np.testing.assert_allclose(ad.gelu(Tensor(x)).data, expected, rtol=1e-15, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# erf
+# ---------------------------------------------------------------------------
+
+def ulp_distance(a, b) -> np.ndarray:
+    """Elementwise distance in units in the last place between two float64
+    arrays: bit patterns mapped to integers in the order of their values
+    (-0 and +0 both to 0)."""
+    ordered = []
+    for v in (a, b):
+        bits = np.asarray(v, dtype=np.float64).view(np.int64)
+        ordered.append(np.where(bits < 0, np.int64(-2**63) - bits, bits))
+    return np.abs(ordered[0] - ordered[1])
+
+
+def erf_of(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    return ad._erf(x, np.empty_like(x))
+
+
+def math_erf(x) -> np.ndarray:
+    return np.array([math.erf(v) for v in np.asarray(x, dtype=np.float64).ravel()])
+
+
+def test_erf_within_one_ulp_of_math_erf():
+    x = np.concatenate([np.linspace(-7.0, 7.0, 140_001),
+                        np.random.default_rng(0).normal(0.0, 3.0, 100_000)])
+    assert ulp_distance(erf_of(x), math_erf(x)).max() <= 1
+
+
+def test_erf_region_boundaries_within_one_ulp():
+    # fdlibm's branch points: 0.84375, 1.25, 1 / 0.35 and 6
+    edges = np.array([0.84375, 1.25, 1 / 0.35, 6.0])
+    x = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
+    x = np.concatenate([x, -x])
+    assert ulp_distance(erf_of(x), math_erf(x)).max() <= 1
+
+
+def test_erf_special_values():
+    out = erf_of([0.0, -0.0, np.inf, -np.inf, np.nan])
+    assert out[0] == 0.0 and not np.signbit(out[0])
+    assert out[1] == 0.0 and np.signbit(out[1])
+    assert out[2] == 1.0 and out[3] == -1.0
+    assert np.isnan(out[4])
+    tiny = np.finfo(np.float64).smallest_normal
+    subnormals = np.array([5e-324, 1e-320, np.nextafter(tiny, 0.0), -5e-324, -1e-315])
+    assert ulp_distance(erf_of(subnormals), math_erf(subnormals)).max() <= 1
+
+
+def test_erf_raises_no_warning():
+    x = np.array([np.inf, -np.inf, np.nan, 1e300, -1e300, np.finfo(np.float64).max,
+                  5e-324, -1e-310, 0.5, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        erf_of(x)
+
+
+def test_erf_element_bits_do_not_depend_on_the_array():
+    x = np.concatenate([np.linspace(-7.0, 7.0, 301), [0.84375, -1.25, np.inf, np.nan, -0.0]])
+    alone = np.array([erf_of([v])[0] for v in x])
+    assert erf_of(x).tobytes() == alone.tobytes()
+    assert erf_of(x.reshape(2, 3, -1)).tobytes() == alone.tobytes()
+
+
+def test_erf_in_place_matches_fresh_output():
+    x = np.random.default_rng(1).normal(0.0, 2.0, (4, 5, 6))
+    fresh = erf_of(x)
+    same = x.copy()
+    assert ad._erf(same, same) is same
+    assert same.tobytes() == fresh.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -706,6 +709,34 @@ def test_resume_from_tagging_checkpoint_fails(tmp_path, corpus, capsys):
     assert "Traceback" not in err
 
 
+def test_resume_on_another_corpus_exits_3(tmp_path, capsys):
+    # a run resumed on a manifest with other words would train on with the
+    # checkpoint's vocabulary, the new words all <unk>
+    for seed in (3, 9):
+        assert main(["synth-data", "--count", "4", "--seed", str(seed),
+                     "--out", str(tmp_path / f"corpus{seed}")]) == 0
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(write_config(tmp_path)),
+                 "--manifest", str(tmp_path / "corpus3" / "captions.jsonl"),
+                 "--out", str(run)]) == 0
+    capsys.readouterr()
+    code = main(["train", "--manifest", str(tmp_path / "corpus9" / "captions.jsonl"),
+                 "--out", str(run), "--resume"])
+    assert code == 3
+    assert "'deep' in the manifest, 'by' in the checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--config", "config.json"), ("--seed", "3"),
+                                         ("--init", "pretrain.bin")])
+def test_resume_rejects_the_flags_it_would_ignore(tmp_path, capsys, flag, value):
+    # the checkpoint fixes the config, the seed and every weight
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--manifest", "m.jsonl", "--out", str(tmp_path), "--resume",
+              flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_word2vec_dim_mismatch_exit_3_before_any_log_mel(tmp_path, corpus, capsys,
                                                         monkeypatch):
     def no_log_mel(*args):
@@ -877,3 +908,17 @@ def test_train_has_no_caption_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--caption", "--manifest", "m.jsonl", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+# ---------------------------------------------------------------------------
+
+def test_cli_imports_no_scipy():
+    # numpy is the only runtime dependency; GELU's erf is autodiff's own
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import sys, audiocap.cli; print([m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert proc.stdout.strip() == "[]"
