@@ -5,12 +5,18 @@ broadcasting, (batched) matmul, reductions, indexing, softmax/log-softmax,
 scaled dot-product attention, layer norm, GELU, sigmoid forms, dropout and
 embedding lookup. GELU's erf is `_erf`, in numpy: fdlibm's `s_erf.c`
 (after Cody 1969) for |x| < 0.84375 and `math.erf` past it, so numpy is the
-only dependency. Single-threaded graph semantics. A primitive's output
-keeps one edge, an (input, rule) pair, per input that requires grad:
+only dependency. Single-threaded graph semantics.
+
+The graph is kept apart from the data. A recorded output's `Node` keeps
+one edge, an (input node, rule) pair, per input that requires grad:
 rule(g) maps the output's gradient g to that input's. Inputs that need no
-gradient get no edge, so their gradient is never computed. Only leaves
-(tensors made with requires_grad=True) hold a `.grad`; it accumulates until
-explicitly zeroed.
+gradient get no edge, so their gradient is never computed. A rule keeps
+only the arrays and shapes it reads, never a `Tensor`, so an intermediate
+array that no rule reads is freed as soon as the model code drops it. Only
+leaves (tensors made with requires_grad=True) hold a `.grad`, in their
+node; it accumulates until explicitly zeroed. There is one `backward` per
+graph: it drops each node's edges, and with them the saved arrays, once it
+has run them.
 """
 
 from __future__ import annotations
@@ -40,6 +46,10 @@ _ERF_QQ = tuple(np.array(c) for c in (
 _ERF_TAIL_SQ = 0.84375 ** 2
 
 
+# maps an output's gradient to one input's
+Rule = Callable[[np.ndarray], np.ndarray]
+
+
 class NumericError(RuntimeError):
     """Non-finite values (or an unusable step size) in a numeric check."""
 
@@ -56,16 +66,37 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-class Tensor:
-    """Dense n-d float64 array with an optional gradient accumulator."""
+class Node:
+    """A tensor's place in the graph, apart from its data. A leaf's node
+    holds the leaf's `grad` buffer and no edges. A recorded output's node
+    holds `edges`, one (input node, rule) pair per input that requires
+    grad, until `backward` runs them and sets `edges` to None."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_edges")
+    __slots__ = ("edges", "grad")
+
+    def __init__(self, edges: tuple[tuple[Node, Rule], ...] = (),
+                 grad: np.ndarray | None = None):
+        self.edges = edges
+        self.grad = grad
+
+
+class Tensor:
+    """Dense n-d float64 array; `node` is None unless it requires grad."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
-        self._edges: tuple[tuple[Tensor, Callable[[np.ndarray], np.ndarray]], ...] = ()
+        self.node = Node(grad=np.zeros_like(self.data)) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """A leaf's gradient accumulator; None on every other tensor."""
+        return None if self.node is None else self.node.grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -79,8 +110,9 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
+        grad = self.grad
+        if grad is not None:
+            grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -93,12 +125,14 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, *edges: tuple[Tensor, Callable]) -> Tensor:
-    """A primitive's output, keeping the edges whose input requires grad."""
+def _make(data: np.ndarray, *edges: tuple[Tensor, Rule]) -> Tensor:
+    """A primitive's output, with a node that links the nodes of the inputs
+    that require grad to their rules; the other rules are dropped."""
     out = Tensor(data)
     if _GRAD_ENABLED:
-        out._edges = tuple(edge for edge in edges if edge[0].requires_grad)
-        out.requires_grad = bool(out._edges)
+        kept = tuple((t.node, rule) for t, rule in edges if t.node is not None)
+        if kept:
+            out.node = Node(kept)
     return out
 
 
@@ -121,16 +155,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    a_shape, b_shape = a.shape, b.shape
     return _make(a.data + b.data,
-                 (a, lambda g: _unbroadcast(g, a.shape)),
-                 (b, lambda g: _unbroadcast(g, b.shape)))
+                 (a, lambda g: _unbroadcast(g, a_shape)),
+                 (b, lambda g: _unbroadcast(g, b_shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    a_shape, b_shape = a.shape, b.shape
     return _make(a.data - b.data,
-                 (a, lambda g: _unbroadcast(g, a.shape)),
-                 (b, lambda g: _unbroadcast(-g, b.shape)))
+                 (a, lambda g: _unbroadcast(g, a_shape)),
+                 (b, lambda g: _unbroadcast(-g, b_shape)))
 
 
 def neg(a) -> Tensor:
@@ -140,24 +176,29 @@ def neg(a) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _make(a.data * b.data,
-                 (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-                 (b, lambda g: _unbroadcast(g * a.data, b.shape)))
+    a_data, b_data = a.data, b.data
+    a_shape, b_shape = a_data.shape, b_data.shape
+    return _make(a_data * b_data,
+                 (a, lambda g: _unbroadcast(g * b_data, a_shape)),
+                 (b, lambda g: _unbroadcast(g * a_data, b_shape)))
 
 
 def matmul(a, b) -> Tensor:
     """Matrix product on the last two axes; leading axes broadcast."""
     a, b = _as_tensor(a), _as_tensor(b)
+    a_data, b_data = a.data, b.data
+    a_shape, b_shape = a_data.shape, b_data.shape
     return _make(
-        np.matmul(a.data, b.data),
-        (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)),
-        (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)),
+        np.matmul(a_data, b_data),
+        (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape)),
+        (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape)),
     )
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    return _make(a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
+    a_shape = a.shape
+    return _make(a.data.reshape(shape), (a, lambda g: g.reshape(a_shape)))
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -175,8 +216,10 @@ def getitem(a, idx) -> Tensor:
                                        or isinstance(i, (int, np.integer, slice))):
             raise TypeError(f"getitem takes ints, slices and ..., got {idx!r}")
 
+    a_shape = a.shape
+
     def rule(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(a_shape)
         ga[idx] = g  # a basic index selects each element at most once
         return ga
 
@@ -198,25 +241,27 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
+    a_shape = a.shape
 
     def rule(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.shape)
+        return np.broadcast_to(g, a_shape)
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a, rule))
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
+    a_shape = a.shape
     n = a.data.size if axis is None else math.prod(
-        [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
+        [a_shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
 
     def rule(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.shape) / n
+        return np.broadcast_to(g, a_shape) / n
 
     return _make(a.data.mean(axis=axis, keepdims=keepdims), (a, rule))
 
@@ -229,13 +274,15 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    return _make(np.log(a.data), (a, lambda g: g / a.data))
+    x = a.data
+    return _make(np.log(x), (a, lambda g: g / x))
 
 
 def power(a, p: float) -> Tensor:
     """Elementwise a**p for a constant real exponent."""
     a = _as_tensor(a)
-    return _make(a.data ** p, (a, lambda g: g * p * a.data ** (p - 1.0)))
+    x = a.data
+    return _make(x ** p, (a, lambda g: g * p * x ** (p - 1.0)))
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -301,9 +348,17 @@ def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finite(x: np.ndarray) -> bool:
+    """Whether no element of `x` is ±inf or NaN: two reductions, no
+    temporary array."""
+    return x.size == 0 or bool(x.min() > -np.inf and x.max() < np.inf)
+
+
 def gelu(a) -> Tensor:
     """Exact-erf GELU: x * Phi(x), Phi(x) = (1 + erf(x / sqrt(2))) / 2, with
-    erf from `_erf` (fdlibm's `s_erf.c`, after Cody 1969)."""
+    erf from `_erf` (fdlibm's `s_erf.c`, after Cody 1969). At ±inf it takes
+    its limits, without a warning: gelu(-inf) = -0.0 and gelu(inf) = inf,
+    with gradients 0 and 1."""
     a = _as_tensor(a)
     x = a.data
     cdf = np.multiply(x, _INV_SQRT2)
@@ -317,12 +372,19 @@ def gelu(a) -> Tensor:
         out *= x
         np.exp(out, out=out)
         out *= _INV_SQRT2PI
-        out *= x
+        if _finite(x):
+            out *= x
+        else:  # x * pdf is 0 * inf at ±inf; its limit 0 is there already
+            np.multiply(out, x, out=out, where=~np.isinf(x))
         out += cdf
         out *= g
         return out
 
-    return _make(x * cdf, (a, rule))
+    if x.size == 0 or x.min() > -np.inf:
+        y = x * cdf
+    else:  # -inf * 0 at -inf (NaN lands here too)
+        y = np.multiply(x, cdf, out=np.full_like(x, -0.0), where=x != -np.inf)
+    return _make(y, (a, rule))
 
 
 def _softmax(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -363,35 +425,38 @@ def attention(q, k, v, scale: float,
     chain matmul, mul, add, softmax, matmul, so the bytes equal that chain's.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    w = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    q_data, k_data, v_data = q.data, k.data, v.data
+    q_shape, k_shape, v_shape = q_data.shape, k_data.shape, v_data.shape
+    w = np.matmul(q_data, np.swapaxes(k_data, -1, -2))
     w *= scale
     if mask is not None:
         w += mask  # -inf logits never receive weight
     _softmax(w, -1, out=w)
     # q's rule leaves the score gradient here when k's rule also reads it
+    both = q.node is not None and k.node is not None
     shared: list[np.ndarray] = []
 
     def score_grad(g):
-        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gs = np.matmul(g, np.swapaxes(v_data, -1, -2))
         _softmax_grad(gs, w, -1, out=gs)
         gs *= scale
         return gs
 
     def q_rule(g):
         gs = score_grad(g)
-        if k.requires_grad:
+        if both:
             shared.append(gs)
-        return _unbroadcast(np.matmul(gs, k.data), q.shape)
+        return _unbroadcast(np.matmul(gs, k_data), q_shape)
 
     def k_rule(g):
-        gs = shared.pop() if q.requires_grad else score_grad(g)
-        gk = _unbroadcast(np.matmul(np.swapaxes(q.data, -1, -2), gs),
-                          k.shape[:-2] + (k.shape[-1], k.shape[-2]))
+        gs = shared.pop() if both else score_grad(g)
+        gk = _unbroadcast(np.matmul(np.swapaxes(q_data, -1, -2), gs),
+                          k_shape[:-2] + (k_shape[-1], k_shape[-2]))
         return np.swapaxes(gk, -1, -2)
 
-    return _make(np.matmul(w, v.data), (q, q_rule), (k, k_rule),
+    return _make(np.matmul(w, v_data), (q, q_rule), (k, k_rule),
                  (v, lambda g: _unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g),
-                                            v.shape))), w
+                                            v_shape))), w
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
@@ -429,9 +494,11 @@ def embedding(weight, ids: np.ndarray) -> Tensor:
         rows = np.arange(ids.shape[0]).reshape((-1,) + (1,) * (ids.ndim - 1))
         return Tensor(weight.data[rows, ids])
 
+    table_shape = weight.shape
+
     def rule(g):
-        gw = np.zeros_like(weight.data)
-        np.add.at(gw, ids.reshape(-1), g.reshape(-1, weight.shape[1]))
+        gw = np.zeros(table_shape)
+        np.add.at(gw, ids.reshape(-1), g.reshape(-1, table_shape[1]))
         return gw
 
     return _make(weight.data[ids], (weight, rule))
@@ -444,13 +511,14 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     if x.shape[-1] == 0:
         raise ValueError("layer_norm over an empty last axis")
     n = x.shape[-1]
+    gamma_data, gamma_shape, beta_shape = gamma.data, gamma.shape, beta.shape
     xhat = x.data - x.data.sum(axis=-1, keepdims=True) / n
     out = np.multiply(xhat, xhat)
     inv = (out.sum(axis=-1, keepdims=True) / n + eps) ** -0.5
     xhat *= inv
 
     def x_rule(g):
-        gx = g * gamma.data
+        gx = g * gamma_data
         gxhat = np.multiply(gx, xhat)
         np.multiply(xhat, gxhat.sum(axis=-1, keepdims=True) / n, out=gxhat)
         gx -= gx.sum(axis=-1, keepdims=True) / n
@@ -458,11 +526,11 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         gx *= inv
         return gx
 
-    np.multiply(xhat, gamma.data, out=out)
+    np.multiply(xhat, gamma_data, out=out)
     out += beta.data
     return _make(out, (x, x_rule),
-                 (gamma, lambda g: _unbroadcast(g * xhat, gamma.shape)),
-                 (beta, lambda g: _unbroadcast(g, beta.shape)))
+                 (gamma, lambda g: _unbroadcast(g * xhat, gamma_shape)),
+                 (beta, lambda g: _unbroadcast(g, beta_shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -472,19 +540,23 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Add d(loss)/d(leaf) into .grad of every leaf feeding `loss`.
 
-    Repeated calls accumulate; the caller zeroes grads between steps.
-    Intermediate tensors keep .grad None.
+    Calls on separate graphs accumulate; the caller zeroes grads between
+    steps. Intermediate tensors keep .grad None. Each node's edges, and the
+    arrays their rules saved, are dropped once run, so a graph serves one
+    backward: a second one through it raises ValueError.
     """
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
-    if not loss.requires_grad:
+    root = loss.node
+    if root is None:
         return
 
     # post-order walk; a define-by-run graph has no cycle, since _make only
-    # links a new node to tensors that already exist
-    topo: list[Tensor] = []
+    # links a new node to nodes that already exist. It checks the whole
+    # graph before any rule runs, so a released graph changes no grad.
+    topo: list[Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -492,21 +564,25 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node.edges is None:
+            raise ValueError("backward through a graph that an earlier backward "
+                             "released; build the graph again")
         seen.add(id(node))
         stack.append((node, True))
-        for p, _ in node._edges:
+        for p, _ in node.edges:
             if id(p) not in seen:
                 stack.append((p, False))
 
-    # each node but `loss` is an edge's input of a node before it, so each
-    # has a gradient by the time it is reached
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    # each node but the root is an edge's input of a node before it, so
+    # each has a gradient by the time it is reached
+    flowing: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for node in reversed(topo):
         g = flowing.pop(id(node))
-        if not node._edges:
+        if node.grad is not None:
             node.grad += g
             continue
-        for parent, rule in node._edges:
+        edges, node.edges = node.edges, None
+        for parent, rule in edges:
             pg = rule(g)
             acc = flowing.get(id(parent))
             # never in place: a rule may hand its incoming array to an input

@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -201,6 +202,26 @@ def test_gelu_values():
     np.testing.assert_allclose(ad.gelu(Tensor(x)).data, expected, rtol=1e-15, atol=0)
 
 
+def test_gelu_takes_its_limits_at_infinity_without_a_warning():
+    x = Tensor(np.array([-np.inf, np.inf, -3.0, -0.5, 0.0, 2.0, np.nan]),
+               requires_grad=True)
+    finite = Tensor(x.data[2:6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.gelu(x)
+        ad.backward(ad.sum_(out))
+        reference = ad.gelu(finite).data
+    assert out.data[0] == 0.0 and np.signbit(out.data[0])
+    assert out.data[1] == np.inf and np.isnan(out.data[6])
+    np.testing.assert_array_equal(x.grad[:2], [0.0, 1.0])
+    assert np.isnan(x.grad[6])
+    # the finite elements keep the bits they have in an all-finite array
+    assert out.data[2:6].tobytes() == reference.tobytes()
+    lone = Tensor(finite.data, requires_grad=True)
+    ad.backward(ad.sum_(ad.gelu(lone)))
+    assert x.grad[2:6].tobytes() == lone.grad.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # erf
 # ---------------------------------------------------------------------------
@@ -318,11 +339,25 @@ def test_backward_requires_scalar():
 
 
 def test_backward_accumulates_across_calls():
+    # one backward per graph: two graphs on the same leaf add up in its grad
     x = Tensor(rand((3,)), requires_grad=True)
-    loss = ad.sum_(x)
-    ad.backward(loss)
-    ad.backward(loss)
+    ad.backward(ad.sum_(x))
+    ad.backward(ad.sum_(x))
     np.testing.assert_allclose(x.grad, 2 * np.ones(3))
+
+
+def test_second_backward_through_a_released_graph_raises():
+    x = Tensor(rand((3,)), requires_grad=True)
+    hidden = ad.mul(x, 2.0)
+    loss = ad.sum_(hidden)
+    ad.backward(loss)
+    with pytest.raises(ValueError, match="released"):
+        ad.backward(loss)
+    # a new graph that reaches the released part is refused whole, before
+    # any rule runs: the leaf's grad keeps the first backward's value
+    with pytest.raises(ValueError, match="released"):
+        ad.backward(ad.add(ad.sum_(x), ad.sum_(hidden)))
+    np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
 
 
 def test_backward_unused_tensor_grad_stays_zero():
@@ -396,7 +431,7 @@ def test_constant_input_gets_no_edge_and_no_gradient(name, monkeypatch):
     shape, f = CONSTANT_INPUT_CASES[name]
     x = Tensor(rand(shape), requires_grad=True)
     out = f(x)
-    assert [t for t, _ in out._edges] == [x]
+    assert [node for node, _ in out.node.edges] == [x.node]
     seen = []
     true_unbroadcast = ad._unbroadcast
 
@@ -407,6 +442,67 @@ def test_constant_input_gets_no_edge_and_no_gradient(name, monkeypatch):
     monkeypatch.setattr(ad, "_unbroadcast", recording)
     ad.backward(ad.sum_(out))
     assert seen == [shape]
+
+
+# (shape of h, op on an intermediate h, whether a rule reads h's array,
+# whether a rule reads the op's output array). `LEAF` requires grad, so its
+# rule reads the other input of a product.
+LEAF_SEED = 8
+SAVED_CASES = {
+    "add": ((2, 3), lambda h: ad.add(h, Tensor(rand((2, 3), 1))), False, False),
+    "sub": ((2, 3), lambda h: ad.sub(Tensor(rand((2, 3), 1)), h), False, False),
+    "neg": ((2, 3), lambda h: ad.neg(h), False, False),
+    "mul_constant": ((2, 3), lambda h: ad.mul(h, 0.5), False, False),
+    "mul_leaf": ((2, 3), lambda h: ad.mul(h, leaf((2, 3))), True, False),
+    "matmul_constant": ((2, 3), lambda h: ad.matmul(h, Tensor(rand((3, 4), 1))),
+                        False, False),
+    "matmul_leaf": ((2, 3), lambda h: ad.matmul(h, leaf((3, 4))), True, False),
+    "reshape": ((2, 3), lambda h: ad.reshape(h, (3, 2)), False, False),
+    "transpose": ((2, 3), lambda h: ad.transpose(h), False, False),
+    "getitem": ((2, 3), lambda h: h[1:, :2], False, False),
+    "concat": ((2, 3), lambda h: ad.concat([h, Tensor(rand((2, 3), 1))]), False, False),
+    "sum_": ((2, 3), lambda h: ad.sum_(h, axis=0), False, False),
+    "mean": ((2, 3), lambda h: ad.mean(h, axis=-1, keepdims=True), False, False),
+    "exp": ((2, 3), lambda h: ad.exp(h), False, True),
+    "log": ((2, 3), lambda h: ad.log(h), True, False),
+    "power": ((2, 3), lambda h: ad.power(h, -0.5), True, False),
+    "sigmoid": ((2, 3), lambda h: ad.sigmoid(h), False, True),
+    "logsigmoid": ((2, 3), lambda h: ad.logsigmoid(h), True, False),
+    "gelu": ((2, 3), lambda h: ad.gelu(h), True, False),
+    "softmax": ((2, 3), lambda h: ad.softmax(h), False, True),
+    "log_softmax": ((2, 3), lambda h: ad.log_softmax(h), False, True),
+    "attention_constant_keys_values": ((2, 3), lambda h: attend(
+        h, Tensor(rand((4, 3), 1)), Tensor(rand((4, 3), 2))), False, False),
+    "attention_leaf_keys": ((2, 3), lambda h: attend(
+        h, leaf((4, 3)), Tensor(rand((4, 3), 2))), True, False),
+    "dropout": ((2, 3), lambda h: ad.dropout(h, 0.5, np.random.default_rng(0)),
+                False, False),
+    "embedding": ((5, 3), lambda h: ad.embedding(h, np.array([[0, 4], [2, 2]])),
+                  False, False),
+    "layer_norm": ((2, 3), lambda h: ad.layer_norm(h, leaf((3,)), leaf((3,))),
+                   False, False),
+}
+
+
+def leaf(shape):
+    return Tensor(rand(shape, LEAF_SEED), requires_grad=True)
+
+
+@pytest.mark.parametrize("name", sorted(SAVED_CASES))
+def test_rules_keep_only_the_arrays_they_read(name):
+    # an intermediate's array lives on only when a rule reads it, and
+    # backward drops every rule, so no saved array outlives it
+    shape, f, reads_input, reads_output = SAVED_CASES[name]
+    x = Tensor(np.abs(rand(shape)) + 0.5, requires_grad=True)
+    h = ad.mul(x, 1.0)
+    out = f(h)
+    loss = ad.sum_(out)
+    arrays = weakref.ref(h.data), weakref.ref(out.data)
+    del h, out
+    assert [r() is not None for r in arrays] == [reads_input, reads_output]
+    ad.backward(loss)
+    assert [r() is not None for r in arrays] == [False, False]
+    assert np.all(np.isfinite(x.grad)) and np.any(x.grad != 0.0)
 
 
 def test_backward_same_tensor_used_twice():
@@ -596,4 +692,4 @@ def test_no_grad_blocks_recording():
         y = ad.sum_(x)
         z = ad.mul(x, x)
     assert not y.requires_grad and not z.requires_grad
-    assert y._edges == () and z._edges == ()
+    assert y.node is None and z.node is None

@@ -821,9 +821,9 @@ def test_nan_gradient_stops_training_with_exit_3(tmp_path, corpus, capsys, monke
 
     def nan_gelu(a):
         out = true_gelu(a)
-        if out._edges:
-            (x, _), = out._edges
-            out._edges = ((x, lambda g: np.full_like(g, np.nan)),)
+        if out.node is not None:
+            (x, _), = out.node.edges
+            out.node.edges = ((x, lambda g: np.full_like(g, np.nan)),)
         return out
 
     monkeypatch.setattr(autodiff, "gelu", nan_gelu)
@@ -863,9 +863,9 @@ def test_gradcheck_detects_corrupted_backward(tmp_path, monkeypatch, capsys):
 
     def broken_gelu(a):
         out = true_gelu(a)
-        if out._edges:
-            (x, rule), = out._edges
-            out._edges = ((x, lambda g: 1.5 * rule(g)),)
+        if out.node is not None:
+            (x, rule), = out.node.edges
+            out.node.edges = ((x, lambda g: 1.5 * rule(g)),)
         return out
 
     monkeypatch.setattr(autodiff, "gelu", broken_gelu)

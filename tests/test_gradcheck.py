@@ -98,10 +98,11 @@ def test_corrupted_bias_gradient_fails_stacked_tensors(monkeypatch):
 
     def broken_add(a, b):
         out = true_add(a, b)
-        if out._edges and isinstance(b, autodiff.Tensor) \
-                and b.requires_grad and not b._edges:
-            *rest, (leaf, rule) = out._edges  # b's edge comes last
-            out._edges = (*rest, (leaf, lambda g: 1.5 * rule(g)))
+        # only a leaf's node holds a grad buffer
+        if out.node is not None and isinstance(b, autodiff.Tensor) \
+                and b.grad is not None:
+            *rest, (leaf, rule) = out.node.edges  # b's edge comes last
+            out.node.edges = (*rest, (leaf, lambda g: 1.5 * rule(g)))
         return out
 
     monkeypatch.setattr(autodiff, "add", broken_add)
@@ -119,9 +120,9 @@ def test_corrupted_embedding_gradient_fails_word_embed(monkeypatch):
 
     def broken_embedding(weight, ids):
         out = true_embedding(weight, ids)
-        if out._edges:
-            (table, rule), = out._edges
-            out._edges = ((table, lambda g: 1.5 * rule(g)),)
+        if out.node is not None:
+            (table, rule), = out.node.edges
+            out.node.edges = ((table, lambda g: 1.5 * rule(g)),)
         return out
 
     monkeypatch.setattr(autodiff, "embedding", broken_embedding)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -261,14 +263,45 @@ def test_non_finite_gradient_names_epoch_and_batch():
     def batch_loss(batch, rng):
         loss = ad.mul(ad.sum_(w), 1.0)
         if next(poisoned):
-            (node, rule), = loss._edges
-            loss._edges = ((node, lambda g: rule(g) * np.nan),)
+            (node, rule), = loss.node.edges
+            loss.node.edges = ((node, lambda g: rule(g) * np.nan),)
         return loss
 
     with pytest.raises(NumericError, match="non-finite gradient at epoch 3, batch 2"):
         train_epoch([0, 1, 2, 3], batch_loss, cfg, optimizer, epoch=3)
     assert optimizer.t == 1  # the non-finite gradient took no step
     assert np.all(np.isfinite(w.data))
+
+
+def test_second_desk_step_peaks_no_higher_than_the_first():
+    # desk shapes: a batch of 2 clips of 156 patches, captions of 9 and 14
+    # tokens, vocabulary 28. A step's graph dies in its own backward, so the
+    # next step's forward does not run beside it.
+    model = CaptionerModel(EncoderConfig(dropout=0.0),
+                           DecoderConfig(vocab_size=28, dropout=0.0), num_tags=1, seed=0)
+    rng = np.random.default_rng(0)
+    examples = [CaptionExample(patches=rng.normal(size=(156, 256)),
+                               tokens=[SOS, *rng.integers(4, 28, n - 2).tolist(), EOS])
+                for n in (9, 14, 9, 14)]
+    cfg = TrainConfig(epochs=1, batch_size=2, label_smoothing=0.0, dropout=0.0, seed=0)
+    optimizer = Adam(trainable_caption_params(model, freeze_encoder=False))
+    peaks = []
+
+    def batch_loss(batch, rng):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return caption_batch_loss(model, batch, 0.0, True, rng)
+
+    tracemalloc.start()
+    try:
+        train_epoch(examples, batch_loss, cfg, optimizer, epoch=1)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    first, second = peaks[1:]
+    # 1 % covers the interpreter's free lists, which keep a few kB of small
+    # blocks after the first step; a step's graph is about 20 MB
+    assert second <= first * 1.01, f"step peaks {first} then {second} bytes"
 
 
 def test_one_clip_memorization_desk_dims():
