@@ -10,9 +10,9 @@ on a small model whose encoder and decoder widths differ (so a bridge maps
 one to the other) and whose config leaves the vocabulary unset. At each
 beam it also captions every clip as its own `--input clip.wav` and exits
 non-zero if a line differs from the manifest run's, whose clips are
-searched in lockstep. Prints one `sha256  name` line per output, so that two
-checkouts produce the same bytes exactly when `diff` of their fingerprints
-is empty:
+searched in lockstep. Prints one `sha256  name` line per output, the
+corpus's WAV files and manifests included, so that two checkouts produce
+the same bytes exactly when `diff` of their fingerprints is empty:
 
     PYTHONPATH=src python3 scripts/fingerprint.py > after.txt
     PYTHONPATH=<other checkout>/src python3 scripts/fingerprint.py > before.txt
@@ -106,7 +106,8 @@ def main() -> None:
         bridged = run("gradcheck", "--config", gradcheck_config, "--seed", 0)
 
         outputs = {}
-        for pattern in ("*/model.bin", "*/ckpt_epoch_*.bin", "*/vocab.txt",
+        for pattern in ("corpus/*.wav", "corpus/captions.jsonl", "corpus/tags.jsonl",
+                        "*/model.bin", "*/ckpt_epoch_*.bin", "*/vocab.txt",
                         "captions_beam*.tsv", "eval_beam*/report.*"):
             for path in sorted(work.glob(pattern)):
                 outputs[path.relative_to(work).as_posix()] = path.read_bytes()

@@ -6,9 +6,10 @@ import os
 from pathlib import Path
 
 
-def write_atomic(path: str | Path, *chunks: bytes) -> None:
-    """Write `chunks` to a temporary file beside `path`, then rename it over
-    `path`: a failed write leaves any previous file whole and no temporary."""
+def write_atomic(path: str | Path, *chunks) -> None:
+    """Write `chunks` (bytes-like objects) to a temporary file beside `path`,
+    then rename it over `path`: a failed write leaves any previous file whole
+    and no temporary."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-import io
+import struct
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -112,7 +112,13 @@ def prepare_waveform(samples: np.ndarray, sample_rate: int) -> Waveform:
 
 
 def read_wav(path: str | Path) -> Waveform:
-    """Read 16-bit PCM mono RIFF, resampled/padded to the canonical clip."""
+    """Read 16-bit PCM mono RIFF, resampled/padded to the canonical clip.
+
+    Only the frames the clip needs are read. Its CLIP_SAMPLES outputs
+    interpolate between source frames below CLIP_SAMPLES * rate / SAMPLE_RATE,
+    and a file longer than that resamples to a whole clip, so reading one
+    frame past it gives the samples a whole-file read gives.
+    """
     try:
         with wave.open(str(path), "rb") as wf:
             if wf.getnchannels() != 1:
@@ -120,25 +126,37 @@ def read_wav(path: str | Path) -> Waveform:
             if wf.getsampwidth() != 2:
                 raise ValueError(f"{path}: only 16-bit PCM WAV is supported")
             rate = wf.getframerate()
-            raw = wf.readframes(wf.getnframes())
+            kept = -(-CLIP_SAMPLES * rate // SAMPLE_RATE) + 1
+            raw = wf.readframes(min(wf.getnframes(), kept))
     except (EOFError, RuntimeError, wave.Error) as exc:  # RuntimeError: a chunk overruns
         raise ValueError(f"{path}: not a readable WAV file "
                          f"({str(exc) or 'truncated or inconsistent chunks'})") from None
     # a data chunk cut off mid-sample keeps its whole samples
-    pcm = np.frombuffer(raw[: len(raw) // 2 * 2], dtype="<i2").astype(np.float64) / 32768.0
+    pcm = np.frombuffer(raw[: len(raw) // 2 * 2], dtype="<i2").astype(np.float64)
+    pcm /= 32768.0
     return prepare_waveform(pcm, rate)
 
 
-def write_wav(path: str | Path, w: Waveform) -> None:
-    """16-bit mono PCM, written atomically (see `write_atomic`)."""
-    pcm = np.clip(np.round(w.samples * 32767.0), -32768, 32767).astype("<i2")
-    buf = io.BytesIO()
-    with wave.open(buf, "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(w.sample_rate)
-        wf.writeframes(pcm.tobytes())
-    write_atomic(path, buf.getvalue())
+def pcm16(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Round samples in [-1, 1] to 16-bit PCM in `out` (int16, one per
+    sample) and return it. `samples` is the scratch: it is left scaled by
+    32767, rounded and clipped."""
+    np.multiply(samples, 32767.0, out=samples)
+    np.round(samples, out=samples)
+    np.clip(samples, -32768, 32767, out=samples)
+    np.copyto(out, samples, casting="unsafe")
+    return out
+
+
+def write_wav(path: str | Path, pcm: np.ndarray) -> None:
+    """Mono WAV at SAMPLE_RATE of `pcm`, a contiguous little-endian int16
+    array (see `pcm16`), written atomically (see `write_atomic`) from the
+    array's own bytes."""
+    # the 44-byte canonical header that `wave` writes for PCM
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + pcm.nbytes, b"WAVE",
+                         b"fmt ", 16, 1, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16,
+                         b"data", pcm.nbytes)
+    write_atomic(path, header, pcm)
 
 
 def hz_to_mel(f):

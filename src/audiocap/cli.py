@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gradcheck
 from .atomic import write_atomic
-from .audio import patchify, write_wav
+from .audio import CLIP_SAMPLES, patchify, pcm16, write_wav
 from .autodiff import NumericError, no_grad
 from .checkpoint import (Checkpoint, load_checkpoint, load_model_state,
                          model_state, save_checkpoint)
@@ -32,7 +32,7 @@ from .decoding import beam_search_clips
 from .metrics import evaluate_captions
 from .model import CaptionerModel
 from .optim import Adam
-from .synth import MAX_EVENTS, make_corpus
+from .synth import MAX_EVENTS, corpus_clip
 from .text import (Vocabulary, build_vocabulary, decode as decode_tokens,
                    save_vocabulary, tokenize_caption)
 from .training import (EpochStats, pretrain_tagging, train_captioner,
@@ -60,18 +60,23 @@ def cmd_synth_data(args) -> int:
                               f"at most {MAX_EVENTS} events")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = make_corpus(args.count, args.seed, max_events=args.max_events)
+    # one clip at a time, through two clip-sized buffers reused for every
+    # clip: memory does not grow with --count, and freed clip arrays are not
+    # handed back to the OS only to be page-faulted in for the next clip
+    samples = np.empty(CLIP_SAMPLES)
+    pcm = np.empty(CLIP_SAMPLES, dtype="<i2")
     caption_recs, tag_recs = [], []
-    for rec in records:
+    for i in range(args.count):
+        rec = corpus_clip(i, args.seed, args.max_events, samples)
         wav_name = f"{rec.clip_id}.wav"
-        write_wav(out_dir / wav_name, rec.waveform)
+        write_wav(out_dir / wav_name, pcm16(samples, pcm))
         caption_recs.append(ManifestRecord(
             clip_id=rec.clip_id, wav=wav_name, captions=[rec.caption]))
         tag_recs.append(ManifestRecord(
             clip_id=rec.clip_id, wav=wav_name, tags=rec.tags))
     write_manifest(out_dir / "captions.jsonl", caption_recs)
     write_manifest(out_dir / "tags.jsonl", tag_recs)
-    print(f"wrote {len(records)} clips to {out_dir}")
+    print(f"wrote {args.count} clips to {out_dir}")
     return 0
 
 

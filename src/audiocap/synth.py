@@ -109,8 +109,9 @@ def _event_samples(e: Event, rng: np.random.Generator) -> np.ndarray:
     return seg
 
 
-def synthesize_event_clip(events: Sequence[Event], seed) -> tuple[Waveform, str, set[str]]:
-    """Render events into a 10 s clip; returns (waveform, caption, tags).
+def render_clip(events: Sequence[Event], seed, out: np.ndarray) -> tuple[str, set[str]]:
+    """Render events into `out`, a float64 buffer of CLIP_SAMPLES that is
+    overwritten; returns (caption, tags).
 
     Caption phrases follow event onset order, joined with alternating
     "followed by" / "then". Deterministic for a given seed.
@@ -135,14 +136,21 @@ def synthesize_event_clip(events: Sequence[Event], seed) -> tuple[Waveform, str,
         parts.append(event_phrase(e))
     caption = " ".join(parts)
 
-    samples = np.zeros(CLIP_SAMPLES)
+    out.fill(0.0)
     for e in ordered:
         seg = _event_samples(e, rng)
         start = int(round(e.onset * SAMPLE_RATE))
-        samples[start:start + len(seg)] += seg
-    samples = np.clip(samples, -1.0, 1.0)
+        out[start:start + len(seg)] += seg
+    np.clip(out, -1.0, 1.0, out=out)
 
     tags = {e.kind for e in ordered}
+    return caption, tags
+
+
+def synthesize_event_clip(events: Sequence[Event], seed) -> tuple[Waveform, str, set[str]]:
+    """Render events into a fresh 10 s clip; returns (waveform, caption, tags)."""
+    samples = np.empty(CLIP_SAMPLES)
+    caption, tags = render_clip(events, seed, samples)
     return Waveform(samples=samples), caption, tags
 
 
@@ -181,17 +189,21 @@ def random_events(rng: np.random.Generator, max_events: int = 2) -> list[Event]:
     return events
 
 
+def corpus_clip(i: int, seed, max_events: int, out: np.ndarray) -> ClipRecord:
+    """Clip `i` of the corpus for `seed`, rendered into `out` (see
+    `render_clip`); the record's waveform is `out` itself."""
+    clip_seed = [seed, i] if np.isscalar(seed) else list(seed) + [i]
+    rng = np.random.default_rng(clip_seed)
+    events = random_events(rng, max_events=max_events)
+    caption, tags = render_clip(events, clip_seed, out)
+    return ClipRecord(clip_id=f"clip{i:04d}", events=events, caption=caption,
+                      tags=sorted(tags), waveform=Waveform(samples=out))
+
+
 def make_corpus(count: int, seed, max_events: int = 2) -> list[ClipRecord]:
-    """Deterministic corpus of `count` synthesized clips."""
+    """Deterministic corpus of `count` synthesized clips, each with its own
+    waveform array. `audiocap synth-data` renders the same clips one at a
+    time into one reused buffer instead."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    records = []
-    for i in range(count):
-        clip_seed = [seed, i] if np.isscalar(seed) else list(seed) + [i]
-        rng = np.random.default_rng(clip_seed)
-        events = random_events(rng, max_events=max_events)
-        waveform, caption, tags = synthesize_event_clip(events, clip_seed)
-        records.append(ClipRecord(
-            clip_id=f"clip{i:04d}", events=events, caption=caption,
-            tags=sorted(tags), waveform=waveform))
-    return records
+    return [corpus_clip(i, seed, max_events, np.empty(CLIP_SAMPLES)) for i in range(count)]

@@ -1,11 +1,14 @@
+import tracemalloc
+import wave
+
 import numpy as np
 import pytest
 
 from audiocap.audio import (CLIP_SAMPLES, SAMPLE_RATE, FrontendConfig,
                             LogMelSpectrogram, SpecAugmentPolicy, Waveform,
                             compute_log_mel, hz_to_mel, mel_filterbank,
-                            mel_to_hz, patchify, prepare_waveform, read_wav,
-                            spec_augment, write_wav)
+                            mel_to_hz, patchify, pcm16, prepare_waveform,
+                            read_wav, spec_augment, write_wav)
 from logmel_reference import reference_log_mel
 
 
@@ -49,12 +52,80 @@ def test_prepare_resamples_only_the_kept_samples():
 
 
 def test_wav_round_trip(tmp_path):
-    original = Waveform(samples=tone(440))
+    original = tone(440)
     path = tmp_path / "clip.wav"
-    write_wav(path, original)
+    write_wav(path, pcm16(original.copy(), np.empty(CLIP_SAMPLES, dtype="<i2")))
     loaded = read_wav(path)
     assert len(loaded.samples) == CLIP_SAMPLES
-    np.testing.assert_allclose(loaded.samples, original.samples, atol=1.0 / 32000)
+    np.testing.assert_allclose(loaded.samples, original, atol=1.0 / 32000)
+
+
+def write_pcm_wav(path, rate, frames, cut=None):
+    """A 16-bit mono WAV of `frames` noise samples at `rate`, written by
+    `wave` a second at a time; with `cut`, the file is cut off after `cut`
+    bytes, so its data chunk ends early."""
+    rng = np.random.default_rng(rate + frames)
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(rate)
+        for start in range(0, frames, rate):
+            n = min(rate, frames - start)
+            wf.writeframes(rng.integers(-20000, 20000, size=n, dtype="<i2").tobytes())
+    if cut is not None:
+        path.write_bytes(path.read_bytes()[:cut])
+
+
+def read_whole_wav(path) -> Waveform:
+    """Every frame of the file to float64, then prepare_waveform: how
+    read_wav read a file before it read only the frames the clip keeps."""
+    with wave.open(str(path), "rb") as wf:
+        rate = wf.getframerate()
+        raw = wf.readframes(wf.getnframes())
+    pcm = np.frombuffer(raw[: len(raw) // 2 * 2], dtype="<i2").astype(np.float64) / 32768.0
+    return prepare_waveform(pcm, rate)
+
+
+@pytest.mark.parametrize("rate", [16000, 32000, 44100, 48000])
+@pytest.mark.parametrize("seconds, cut_seconds", [
+    (3.7, None), (10.0, None), (14.3, None),  # shorter than, exactly, longer than 10 s
+    (14.3, 12.3), (14.3, 5.1),                # data chunk cut off mid-sample
+])
+def test_read_wav_matches_a_whole_file_read(tmp_path, rate, seconds, cut_seconds):
+    path = tmp_path / "clip.wav"
+    cut = None if cut_seconds is None else 44 + 2 * int(cut_seconds * rate) + 1
+    write_pcm_wav(path, rate, int(seconds * rate), cut)
+    got = read_wav(path)
+    assert got.samples.tobytes() == read_whole_wav(path).samples.tobytes()
+    assert got.sample_rate == SAMPLE_RATE
+
+
+def test_read_wav_memory_does_not_grow_with_file_length(tmp_path):
+    peaks = []
+    for seconds in (10, 600):
+        path = tmp_path / f"{seconds}s.wav"
+        write_pcm_wav(path, SAMPLE_RATE, seconds * SAMPLE_RATE)
+        tracemalloc.start()
+        try:
+            read_wav(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks
+
+
+def test_write_wav_writes_what_wave_writes(tmp_path):
+    # the header and samples that `wave` writes for the same rounded PCM
+    samples = np.random.default_rng(2).uniform(-1.2, 1.2, size=CLIP_SAMPLES)
+    expected = np.clip(np.round(samples * 32767.0), -32768, 32767).astype("<i2")
+    with wave.open(str(tmp_path / "wave.wav"), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(SAMPLE_RATE)
+        wf.writeframes(expected.tobytes())
+    pcm = pcm16(samples, np.empty(CLIP_SAMPLES, dtype="<i2"))
+    write_wav(tmp_path / "ours.wav", pcm)
+    assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "wave.wav").read_bytes()
 
 
 def test_read_wav_rejects_stereo(tmp_path):

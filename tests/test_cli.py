@@ -1,21 +1,26 @@
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
+import wave
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from audiocap import atomic, autodiff, cli, data
+from audiocap.audio import CLIP_SAMPLES
 from audiocap.checkpoint import Checkpoint, load_checkpoint, model_state, save_checkpoint
 from audiocap.cli import _load_config, build_parser, main
 from audiocap.config import (RunConfig, ValidationError, load_run_config,
                              run_config_from_dict, run_config_to_dict)
 from audiocap.model import CaptionerModel
+from audiocap.synth import make_corpus
 
 TINY_CONFIG = {
     "seed": 3,
@@ -80,6 +85,56 @@ def test_synth_data_reproducible(tmp_path):
     assert sha(a / "tags.jsonl") == sha(b / "tags.jsonl")
     assert all(sha(a / f"clip{i:04d}.wav") == sha(b / f"clip{i:04d}.wav")
                for i in range(3))
+
+
+def write_corpus_whole(out: Path, count: int, seed: int, max_events: int) -> None:
+    """synth-data's files as they were written before it rendered one clip
+    at a time: every record from make_corpus, then each WAV through
+    BytesIO and `wave`."""
+    out.mkdir()
+    caption_recs, tag_recs = [], []
+    for rec in make_corpus(count, seed, max_events=max_events):
+        pcm = np.clip(np.round(rec.waveform.samples * 32767.0), -32768, 32767).astype("<i2")
+        buf = io.BytesIO()
+        with wave.open(buf, "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(rec.waveform.sample_rate)
+            wf.writeframes(pcm.tobytes())
+        (out / f"{rec.clip_id}.wav").write_bytes(buf.getvalue())
+        caption_recs.append(data.ManifestRecord(
+            clip_id=rec.clip_id, wav=f"{rec.clip_id}.wav", captions=[rec.caption]))
+        tag_recs.append(data.ManifestRecord(
+            clip_id=rec.clip_id, wav=f"{rec.clip_id}.wav", tags=rec.tags))
+    data.write_manifest(out / "captions.jsonl", caption_recs)
+    data.write_manifest(out / "tags.jsonl", tag_recs)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 23])
+@pytest.mark.parametrize("max_events", [1, 3, 5])
+def test_synth_data_writes_the_whole_corpus_writers_bytes(tmp_path, seed, max_events):
+    ours, whole = tmp_path / "ours", tmp_path / "whole"
+    assert main(["synth-data", "--count", "3", "--seed", str(seed),
+                 "--max-events", str(max_events), "--out", str(ours)]) == 0
+    write_corpus_whole(whole, 3, seed, max_events)
+    assert sorted(p.name for p in ours.iterdir()) == sorted(p.name for p in whole.iterdir())
+    for path in whole.iterdir():
+        assert (ours / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_synth_data_memory_does_not_grow_with_count(tmp_path, capsys):
+    main(["synth-data", "--count", "1", "--out", str(tmp_path / "warm")])
+    peaks = {}
+    for count in (2, 12):
+        tracemalloc.start()
+        try:
+            assert main(["synth-data", "--count", str(count), "--seed", "3",
+                         "--out", str(tmp_path / f"n{count}")]) == 0
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # within one clip's float64 waveform; holding every clip grows 10 of them
+    assert peaks[12] - peaks[2] < CLIP_SAMPLES * 8, peaks
 
 
 def test_synth_data_rejects_zero_count(tmp_path, capsys):

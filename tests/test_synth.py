@@ -83,6 +83,12 @@ def test_make_corpus_deterministic():
     assert len({r.clip_id for r in a}) == 6
 
 
+def test_make_corpus_records_own_their_waveforms():
+    arrays = [r.waveform.samples for r in make_corpus(5, seed=3)]
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
 def test_make_corpus_rejects_zero_count():
     with pytest.raises(ValueError):
         make_corpus(0, seed=0)
