@@ -7,7 +7,9 @@ epochs from the tagging encoder (dropout 0.1, label smoothing 0.1, a
 checkpoint every 6 epochs), captions at beam 1, 3 and 5, scores each set of
 captions, and runs `gradcheck` on its built-in model and, with `--config`,
 on a small model whose encoder and decoder widths differ (so a bridge maps
-one to the other) and whose config leaves the vocabulary unset. At each
+one to the other) and whose config leaves the vocabulary unset; of each
+gradcheck it hashes the stdout and the per-tensor error table (the `repr`
+of every tensor's error, in `named_parameters` order). At each
 beam it also captions every clip as its own `--input clip.wav` and exits
 non-zero if a line differs from the manifest run's, whose clips are
 searched in lockstep. Prints one `sha256  name` line per output, the
@@ -35,6 +37,7 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+from audiocap import gradcheck as gradcheck_module  # noqa: E402
 from audiocap.cli import main as cli  # noqa: E402
 
 SEED = 7
@@ -64,6 +67,25 @@ def run(*args) -> str:
     if code != 0:
         sys.exit(f"audiocap {' '.join(map(str, args))} exited with {code}")
     return out.getvalue()
+
+
+def run_gradcheck(*args) -> tuple[str, str]:
+    """One `audiocap gradcheck`: its stdout and its per-tensor error table,
+    one `name repr(error)` line per tensor."""
+    reports = []
+    check = gradcheck_module.model_gradient_check
+
+    def recording_check(*check_args):
+        reports.append(check(*check_args))
+        return reports[-1]
+
+    gradcheck_module.model_gradient_check = recording_check
+    try:
+        out = run("gradcheck", *args)
+    finally:
+        gradcheck_module.model_gradient_check = check
+    report, = reports
+    return out, "".join(f"{name} {err!r}\n" for name, err in report.per_param.items())
 
 
 def sha(data: bytes) -> str:
@@ -100,10 +122,10 @@ def main() -> None:
                              f"in the manifest {line!r}")
             run("eval", "--candidates", tsv, "--references", corpus / "captions.jsonl",
                 "--out", work / f"eval_beam{beam}")
-        gradcheck = run("gradcheck", "--seed", 0)
+        gradcheck, errors = run_gradcheck("--seed", 0)
         gradcheck_config = work / "gradcheck.json"
         gradcheck_config.write_text(json.dumps(GRADCHECK_CONFIG), encoding="utf-8")
-        bridged = run("gradcheck", "--config", gradcheck_config, "--seed", 0)
+        bridged, bridged_errors = run_gradcheck("--config", gradcheck_config, "--seed", 0)
 
         outputs = {}
         for pattern in ("corpus/*.wav", "corpus/captions.jsonl", "corpus/tags.jsonl",
@@ -116,6 +138,8 @@ def main() -> None:
                 work / run_dir / "metrics.jsonl")
         outputs["gradcheck stdout"] = gradcheck.encode("utf-8")
         outputs["gradcheck --config stdout"] = bridged.encode("utf-8")
+        outputs["gradcheck per-tensor errors"] = errors.encode("utf-8")
+        outputs["gradcheck --config per-tensor errors"] = bridged_errors.encode("utf-8")
     for name, data in outputs.items():
         print(f"{sha(data)}  {name}")
 

@@ -2,11 +2,18 @@
 
 One forward and backward pass gives every analytic gradient. The numeric
 side probes up to CHUNK scalars of one parameter tensor per no-grad forward
-pass: the tensor is stacked on a new leading axis, `(k, *shape)` for a
-matrix (a matmul weight, the class token, positions, word embeddings) and
-`(k, 1, size)` for a vector (a bias, a norm gain/shift), with copy j
-carrying the probe at scalar j. The clip and caption prefix are repeated k
-times, so batch row j sees copy j, and the k losses are read off the rows.
+pass, both sides at once: the tensor is stacked on a new leading axis of
+2k copies, `(2k, *shape)` for a matrix (a matmul weight, the class token,
+positions, word embeddings) and `(2k, 1, size)` for a vector (a bias, a
+norm gain/shift). Copy j carries +h at scalar j and copy k + j carries -h
+there. The stage inputs are repeated 2k times, so batch row j sees copy j,
+and the 2k losses are read off the rows.
+
+A pass starts at the first stage that reads the probed tensor: patch
+embedding, encoder layer i, the encoder's final norm, or the heads (bridge,
+decoder and tag head, from the encoded rows). One unperturbed pass of one
+row keeps every stage's input first; the stages before the start would
+compute that same input in every row.
 """
 
 from __future__ import annotations
@@ -62,26 +69,63 @@ class Objective:
         self.inputs = tokens[None, :-1]
         self.targets = tokens[None, 1:]
         self.labels = labels            # (1, K_tags)
+        self.stage_inputs: list[np.ndarray] = []  # see keep_stage_inputs
 
-    def _logits(self, rows: int) -> tuple[ad.Tensor, ad.Tensor]:
+    def _logits(self, rows: int, start: int) -> tuple[ad.Tensor, ad.Tensor]:
         m = self.model
-        encoded = m.encode(m.embed_patches(np.repeat(self.patches, rows, axis=0)))
+        if start == 0:
+            encoded = m.encode(m.embed_patches(np.repeat(self.patches, rows, axis=0)))
+        else:
+            encoded = ad.Tensor(np.repeat(self.stage_inputs[start], rows, axis=0))
+            for layer in m.enc_layers[start - 1:]:
+                encoded = layer(encoded, False, None)
+            if start <= len(m.enc_layers) + 1:  # not yet the heads
+                encoded = m.enc_final_ln(encoded)
         logits = m.decode(np.repeat(self.inputs, rows, axis=0),
                           m.encoder_memory(encoded))
         return logits, m.tagging_logits(encoded)
 
     def loss(self) -> ad.Tensor:
-        logits, tag_logits = self._logits(1)
+        logits, tag_logits = self._logits(1, 0)
         ce = label_smoothed_ce(logits, self.targets, smoothing=SMOOTHING)
         return ad.add(ce, bce_with_logits(tag_logits, self.labels))
 
-    def row_losses(self, rows: int) -> np.ndarray:
-        """Losses (rows,) of `rows` copies of the clip in one no-grad forward.
-        A parameter stacked on a leading axis of length `rows` gives each row
-        its own copy. Each row repeats `loss()`'s arithmetic, so at equal
-        parameters the values equal `loss()` bit for bit."""
+    def stage_of(self, p: ad.Tensor) -> int:
+        """The first stage that reads parameter `p`: 0 patch embedding (the
+        class token and positions included), 1 + i encoder layer i, then the
+        encoder's final norm, then the heads (bridge, decoder, tag head)."""
+        m = self.model
+        if p is m.cls_token or p is m.pos_embed:
+            return 0
+        modules = [m.patch_embed, *m.enc_layers, m.enc_final_ln]
+        for stage, module in enumerate(modules):
+            if any(t is p for _, t in module.named_params("")):
+                return stage
+        return len(modules)
+
+    def keep_stage_inputs(self) -> None:
+        """One unperturbed no-grad pass of one row keeps the input of every
+        stage (see `stage_of`) for `row_losses` to start from."""
+        m = self.model
         with ad.no_grad():
-            logits, tag_logits = self._logits(rows)
+            x = m.embed_patches(self.patches)
+            inputs = [self.patches]
+            for layer in m.enc_layers:
+                inputs.append(x.data)
+                x = layer(x, False, None)
+            inputs.append(x.data)
+            inputs.append(m.enc_final_ln(x).data)
+        self.stage_inputs = inputs
+
+    def row_losses(self, rows: int, start: int) -> np.ndarray:
+        """Losses (rows,) of `rows` copies of the clip in one no-grad forward
+        from stage `start`, whose kept input (`keep_stage_inputs`) is
+        repeated `rows` times; stage 0 runs the whole model. A parameter of
+        that stage or a later one stacked on a leading axis of length `rows`
+        gives each row its own copy. Each row repeats `loss()`'s arithmetic,
+        so at equal parameters the values equal `loss()` bit for bit."""
+        with ad.no_grad():
+            logits, tag_logits = self._logits(rows, start)
             logp = ad.log_softmax(logits).data
             pos = ad.logsigmoid(tag_logits).data
             neg = ad.logsigmoid(ad.neg(tag_logits)).data
@@ -114,25 +158,26 @@ def make_objective(seed, enc: EncoderConfig, dec: DecoderConfig) -> Objective:
 def _central_differences(objective: Objective, p: ad.Tensor,
                          h: float) -> np.ndarray:
     """(loss(theta + h e_i) - loss(theta - h e_i)) / 2h for every scalar i of
-    `p`, CHUNK scalars per forward pass."""
+    `p`: one forward pass of 2k rows per chunk of k <= CHUNK scalars, rows
+    0..k-1 at +h and rows k..2k-1 at -h, from the first stage that reads
+    `p`. Needs `objective.keep_stage_inputs()` first."""
     orig = p.data
     flat = orig.reshape(-1)
+    start = objective.stage_of(p)
     central = np.empty(flat.size)
     try:
-        for start in range(0, flat.size, CHUNK):
-            idx = np.arange(start, min(start + CHUNK, flat.size))
+        for first in range(0, flat.size, CHUNK):
+            idx = np.arange(first, min(first + CHUNK, flat.size))
             k = idx.size
-            shape = (k, *orig.shape) if orig.ndim == 2 else (k, 1, orig.size)
-            stacked = np.repeat(flat[None], k, axis=0)
-            sides = []
-            for step in (h, -h):
-                stacked[np.arange(k), idx] = flat[idx] + step
-                p.data = stacked.reshape(shape)
-                sides.append(objective.row_losses(k))
-            hi, lo = sides
-            if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
+            shape = (2 * k, *orig.shape) if orig.ndim == 2 else (2 * k, 1, orig.size)
+            stacked = np.repeat(flat[None], 2 * k, axis=0)
+            stacked[np.arange(k), idx] = flat[idx] + h
+            stacked[np.arange(k, 2 * k), idx] = flat[idx] - h
+            p.data = stacked.reshape(shape)
+            losses = objective.row_losses(2 * k, start)
+            if not np.all(np.isfinite(losses)):
                 raise NumericError("non-finite loss during finite differences")
-            central[idx] = (hi - lo) / (2.0 * h)
+            central[idx] = (losses[:k] - losses[k:]) / (2.0 * h)
     finally:
         p.data = orig
     return central
@@ -146,6 +191,7 @@ def check_objective(objective: Objective, h: float = 1e-4) -> GradCheckReport:
     model = objective.model
     model.zero_grad()
     ad.backward(objective.loss())
+    objective.keep_stage_inputs()
     per_param = {}
     for name, p in model.named_parameters():
         analytic = p.grad.reshape(-1)

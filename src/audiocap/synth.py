@@ -86,19 +86,31 @@ def event_phrase(e: Event) -> str:
 
 
 def _event_samples(e: Event, rng: np.random.Generator) -> np.ndarray:
+    """The event's samples, computed in place in one array (a chirp needs a
+    second one for its t² term). The ufuncs run in the order that the
+    formula in each comment evaluates them, so the bytes equal the
+    formula's."""
     n = int(round(e.duration * SAMPLE_RATE))
-    t = np.arange(n) / SAMPLE_RATE
-    if e.kind == "tone":
-        seg = (e.amplitude or 0.5) * np.sin(2 * np.pi * (e.freq or 440.0) * t)
-    elif e.kind == "noise":
-        amp = e.amplitude if e.amplitude is not None else 0.3
-        seg = amp * rng.standard_normal(n)
-    elif e.kind == "chirp":
-        f0 = e.freq or 300.0
-        f1 = e.freq_end or 3.0 * f0
-        # linear sweep: phase = 2*pi*(f0*t + (f1-f0)/(2*dur) * t^2)
-        seg = (e.amplitude or 0.5) * np.sin(
-            2 * np.pi * (f0 * t + (f1 - f0) / (2 * e.duration) * t * t))
+    if e.kind == "noise":
+        seg = rng.standard_normal(n)  # amplitude * N(0, 1) draws
+        seg *= e.amplitude if e.amplitude is not None else 0.3
+    elif e.kind in ("tone", "chirp"):
+        seg = np.arange(n, dtype=np.float64)
+        seg /= SAMPLE_RATE  # t
+        if e.kind == "tone":
+            # amplitude * sin(2*pi*freq * t)
+            seg *= 2 * np.pi * (e.freq or 440.0)
+        else:
+            f0 = e.freq or 300.0
+            f1 = e.freq_end or 3.0 * f0
+            # linear sweep: amplitude * sin(2*pi*(f0*t + (f1-f0)/(2*dur) * t*t))
+            sweep = (f1 - f0) / (2 * e.duration) * seg
+            sweep *= seg
+            seg *= f0
+            seg += sweep
+            seg *= 2 * np.pi
+        np.sin(seg, out=seg)
+        seg *= e.amplitude or 0.5
     else:
         raise ValueError(f"unknown event kind {e.kind!r}")
     fade = min(int(FADE_SECONDS * SAMPLE_RATE), n // 2)
