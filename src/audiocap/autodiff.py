@@ -1,11 +1,12 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 Only the primitives the captioning model needs: elementwise arithmetic with
-broadcasting, (batched) matmul, reductions, indexing, softmax/log-softmax,
-scaled dot-product attention, layer norm, GELU, sigmoid forms, dropout and
-embedding lookup. GELU's erf is `_erf`, in numpy: fdlibm's `s_erf.c`
-(after Cody 1969) for |x| < 0.84375 and `math.erf` past it, so numpy is the
-only dependency. Single-threaded graph semantics.
+broadcasting, (batched) matmul, a linear layer folded into one 2-D GEMM,
+reductions, indexing, softmax/log-softmax, scaled dot-product attention,
+layer norm, GELU, sigmoid forms, dropout and embedding lookup. GELU's erf is
+`_erf`, in numpy: fdlibm's `s_erf.c` (after Cody 1969) for |x| < 0.84375 and
+`math.erf` past it, so numpy is the only dependency. Single-threaded graph
+semantics.
 
 The graph is kept apart from the data. A recorded output's `Node` keeps
 one edge, an (input node, rule) pair, per input that requires grad:
@@ -193,6 +194,35 @@ def matmul(a, b) -> Tensor:
         (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape)),
         (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape)),
     )
+
+
+def linear(x, w, b=None) -> Tensor:
+    """x @ w (+ b) over x's last axis: one node that folds x's leading axes
+    into rows, so the product and each gradient (g2 @ w^T, x2^T @ g2,
+    g2.sum(0)) is one 2-D GEMM or sum whatever the layout. Under no_grad a
+    stacked weight (K, in, out) or bias (K, 1, out) serves x (K, T, in):
+    batch row k uses copy k, through batched np.matmul."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    b = None if b is None else _as_tensor(b)
+    if w.ndim != 2 or (b is not None and b.ndim != 1):
+        if _GRAD_ENABLED and any(t is not None and t.requires_grad for t in (x, w, b)):
+            raise ValueError("a stacked linear weight or bias is used only under no_grad")
+        y = np.matmul(x.data, w.data)
+        return Tensor(y if b is None else y + b.data)
+    w_data, x_shape = w.data, x.shape
+    x2 = x.data.reshape(-1, x_shape[-1])
+    y = x2 @ w_data
+    if b is not None:
+        y += b.data
+
+    def rows(g):
+        return g.reshape(-1, g.shape[-1])
+
+    edges = [(x, lambda g: (rows(g) @ w_data.T).reshape(x_shape)),
+             (w, lambda g: x2.T @ rows(g))]
+    if b is not None:
+        edges.append((b, lambda g: rows(g).sum(0)))
+    return _make(y.reshape(x_shape[:-1] + (w_data.shape[1],)), *edges)
 
 
 def reshape(a, shape) -> Tensor:
@@ -416,14 +446,13 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(out_data, (a, lambda g: _softmax_grad(g, out_data, axis)))
 
 
-def attention(q, k, v, scale: float,
-              mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+def attention(q, k, v, scale: float, mask: np.ndarray | None = None) -> Tensor:
     """softmax(q @ k^T * scale + mask) @ v on the last two axes, leading axes
     broadcast: one node that keeps only the weights, one (..., Tq, Tk) array
-    whose scores are scaled, masked and normalised in place. Returns the
-    output and the weights. The same ufuncs run in the same order as the
-    chain matmul, mul, add, softmax, matmul, so the bytes equal that chain's.
-    """
+    whose scores are scaled, masked and normalised in place. The same ufuncs
+    run in the same order as the chain matmul, mul, add, softmax, matmul, so
+    the bytes equal that chain's. (Identity values, v = I, give the weights:
+    w @ I = w.)"""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     q_data, k_data, v_data = q.data, k.data, v.data
     q_shape, k_shape, v_shape = q_data.shape, k_data.shape, v_data.shape
@@ -456,7 +485,7 @@ def attention(q, k, v, scale: float,
 
     return _make(np.matmul(w, v_data), (q, q_rule), (k, k_rule),
                  (v, lambda g: _unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g),
-                                            v_shape))), w
+                                            v_shape)))
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:

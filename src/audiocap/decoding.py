@@ -3,9 +3,9 @@ clips in lockstep.
 
 Each step decodes the newest token of every live hypothesis of every clip
 still searching as one batch through `CaptionerModel.decode_step`, which
-reuses cached attention keys and values instead of re-running the decoder on
-whole prefixes, and runs every projection as one 2-D GEMM over all those
-rows. Each clip keeps its own hypotheses, completed pool and early stop
+runs those positions through the same decoder layer call as training,
+reusing cached attention keys and values instead of re-running the decoder
+on whole prefixes; every projection is one 2-D GEMM over all the rows. Each clip keeps its own hypotheses, completed pool and early stop
 (see `beam_search_decode`), and leaves the batch once its answer is fixed.
 `beam_search_clips` captions a stream of clips in lockstep groups of at most
 LOCKSTEP_CLIPS; `beam_search_decode` is the one-clip case, and greedy

@@ -6,9 +6,11 @@ sequence runs through pre-norm self-attention blocks. Decoder: token
 embeddings run through pre-norm blocks of masked self-attention, cross
 attention over the full encoder output (class token included, so generation
 sees clip-level and patch-level features), and a feed-forward sublayer,
-ending in a vocabulary projection. Training decodes whole prefixes at once;
-inference decodes one position at a time for the live sequences of many
-clips together, reusing cached keys and values.
+ending in a vocabulary projection. Every projection is one `ad.linear` node,
+a 2-D GEMM over all positions whatever the batch layout. Training decodes
+whole prefixes at once; inference decodes one position at a time for the
+live sequences of many clips together, through the same decoder layer call,
+reusing cached keys and values.
 """
 
 from __future__ import annotations
@@ -88,8 +90,7 @@ class Linear:
         self.b = _param(rng, (d_out,), 0.0) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ad.matmul(x, self.w)
-        return ad.add(y, self.b) if self.b is not None else y
+        return ad.linear(x, self.w, self.b)
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}.w", self.w
@@ -122,65 +123,41 @@ class MultiHeadAttention:
         self.wk = Linear(d, d, rng, bias=False)
         self.wv = Linear(d, d, rng, bias=False)
         self.wo = Linear(d, d, rng, bias=False)
-        self.last_weights: np.ndarray | None = None  # (B, h, Tq, Tk)
 
     def _split(self, x: Tensor) -> Tensor:
         """(B, T, d) -> (B, h, T, d_k)."""
         b, t, _ = x.shape
         return ad.transpose(ad.reshape(x, (b, t, self.heads, self.d_k)), (0, 2, 1, 3))
 
-    def _split_rows(self, x: Tensor) -> Tensor:
-        """(R, d) -> (R, h, 1, d_k): each row is one position."""
-        return ad.reshape(x, (x.shape[0], self.heads, 1, self.d_k))
-
     def keys_values(self, xkv: Tensor) -> tuple[Tensor, Tensor]:
         """Head-split key and value projections (B, h, Tk, d_k) of `xkv`."""
         return self._split(self.wk(xkv)), self._split(self.wv(xkv))
 
-    def row_keys_values(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """Keys and values (R, h, 1, d_k) of rows x (R, d), each projection
-        one 2-D GEMM."""
-        return self._split_rows(self.wk(x)), self._split_rows(self.wv(x))
-
-    def _attend(self, q: Tensor, k: Tensor, v: Tensor,
-                mask: np.ndarray | None = None) -> Tensor:
-        """Head-split queries (G, h, Tq, d_k) over keys and values
-        (G, h, Tk, d_k) -> (G, h, Tq, d_k)."""
-        out, self.last_weights = ad.attention(q, k, v, 1.0 / np.sqrt(self.d_k), mask)
-        return out
-
-    def __call__(self, xq: Tensor, xkv: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        """Attend from queries `xq` (B, Tq, d) over keys and values projected
-        from `xkv` (B, Tk, d; a batch axis of 1 broadcasts over `xq`'s)."""
+    def __call__(self, xq: Tensor, kv: tuple[Tensor, Tensor],
+                 mask: np.ndarray | None = None,
+                 slots: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+        """Queries projected from `xq` (B, Tq, d) attend over the head-split
+        keys and values `kv` (see `keys_values`; B, h, Tk, d_k, a batch axis
+        of 1 broadcasts over xq's) -> (B, Tq, d). With `slots` = (group,
+        place), no-grad and Tq = 1, row r of xq is query `place[r]` of group
+        `group[r]` of kv (G, h, Tk, d_k): each group's queries, padded with
+        zero rows to the largest group, attend together over that group."""
         b, tq, _ = xq.shape
-        tk = xkv.shape[1]
-        if mask is not None and mask.shape != (tq, tk):
-            raise ValueError(f"mask shape {mask.shape} does not match ({tq}, {tk})")
-        k, v = self.keys_values(xkv)
-        mixed = ad.transpose(self._attend(self._split(self.wq(xq)), k, v, mask), (0, 2, 1, 3))
-        return self.wo(ad.reshape(mixed, (b, tq, self.d)))
-
-    def attend_rows(self, x: Tensor, kv: tuple[Tensor, Tensor],
-                    slots: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
-        """No-grad inference: rows x (R, d), one position each, attend over
-        `kv` -> (R, d); the q and o projections are 2-D GEMMs over the rows.
-        Without `slots`, row r attends over row r of kv (R, h, Tk, d_k). With
-        `slots` = (group, place) per row, row r is query `place[r]` of group
-        `group[r]`, and each group's queries, padded with zero rows to the
-        largest group, attend together over that group of kv (G, h, Tk, d_k).
-        `last_weights` then hold each row's own weights, (R, h, 1, Tk)."""
-        r = x.shape[0]
-        q = self._split_rows(self.wq(x))
         k, v = kv
+        if mask is not None and mask.shape != (tq, k.shape[2]):
+            raise ValueError(f"mask shape {mask.shape} does not match ({tq}, {k.shape[2]})")
+        q = self._split(self.wq(xq))
+        scale = 1.0 / np.sqrt(self.d_k)
         if slots is None:
-            mixed = self._attend(q, k, v)
+            mixed = ad.attention(q, k, v, scale, mask)
         else:
             group, place = slots
             padded = np.zeros((k.shape[0], self.heads, int(place.max()) + 1, self.d_k))
             padded[group, :, place] = q.data[:, :, 0]
-            mixed = Tensor(self._attend(Tensor(padded), k, v).data[group, :, place])
-            self.last_weights = self.last_weights[group, :, place][:, :, None]
-        return self.wo(ad.reshape(mixed, (r, self.d)))
+            out = ad.attention(Tensor(padded), k, v, scale).data
+            mixed = Tensor(out[group, :, place][:, :, None])
+        mixed = ad.transpose(mixed, (0, 2, 1, 3))
+        return self.wo(ad.reshape(mixed, (b, tq, self.d)))
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         for name, sub in (("wq", self.wq), ("wk", self.wk),
@@ -222,7 +199,8 @@ class EncoderLayer:
 
     def __call__(self, x: Tensor, train: bool, rng) -> Tensor:
         normed = self.ln1(x)
-        x = _residual(x, self.attn(normed, normed), self.dropout, train, rng)
+        x = _residual(x, self.attn(normed, self.attn.keys_values(normed)),
+                      self.dropout, train, rng)
         x = _residual(x, self.ffn(self.ln2(x), self.dropout, train, rng),
                       self.dropout, train, rng)
         return x
@@ -244,35 +222,27 @@ class DecoderLayer:
         self.ffn = FeedForward(cfg.d, cfg.ffn_dim, rng)
         self.dropout = cfg.dropout
 
-    def __call__(self, x: Tensor, memory: Tensor, mask: np.ndarray | None,
-                 train: bool, rng) -> Tensor:
-        """Positions x (B, T, d) attend over each other under `mask`, then
-        over the encoder `memory` (B, S, d)."""
+    def __call__(self, x: Tensor, cross_kv: tuple[Tensor, Tensor],
+                 mask: np.ndarray | None, train: bool, rng,
+                 past_kv: tuple[Tensor, Tensor] | None = None,
+                 slots: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+        """Positions x (B, T, d) attend over the self-attention keys and
+        values `past_kv` (B, h, t, d_k) of earlier positions, if any, and
+        over each other under `mask`; then over the encoder memory's
+        cross-attention keys and values `cross_kv` (placed by `slots`, see
+        `MultiHeadAttention`). Returns the output and the self-attention
+        keys and values of every position so far."""
         normed = self.ln1(x)
-        x = _residual(x, self.self_attn(normed, normed, mask), self.dropout, train, rng)
-        x = _residual(x, self.cross_attn(self.ln2(x), memory), self.dropout, train, rng)
-        x = _residual(x, self.ffn(self.ln3(x), self.dropout, train, rng),
-                      self.dropout, train, rng)
-        return x
-
-    def step(self, x: Tensor, cross_kv: tuple[Tensor, Tensor],
-             slots: tuple[np.ndarray, np.ndarray],
-             past_kv: tuple[Tensor, Tensor] | None) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """No-grad inference on one new position of each of R rows x (R, d):
-        each row attends over its own earlier positions' self-attention keys
-        and values `past_kv` (R, h, t, d_k; None: none) and its own, then the
-        rows of each clip, placed by `slots` (see `attend_rows`), attend over
-        that clip's `cross_kv` (C, h, S, d_k). Every projection is a 2-D GEMM
-        over the rows. Returns the output and the self-attention keys and
-        values of every position so far."""
-        normed = self.ln1(x)
-        k, v = self.self_attn.row_keys_values(normed)
+        k, v = self.self_attn.keys_values(normed)
         if past_kv is not None:
             k = ad.concat([past_kv[0], k], axis=2)
             v = ad.concat([past_kv[1], v], axis=2)
-        x = ad.add(x, self.self_attn.attend_rows(normed, (k, v)))
-        x = ad.add(x, self.cross_attn.attend_rows(self.ln2(x), cross_kv, slots))
-        x = ad.add(x, self.ffn(self.ln3(x), 0.0, False, None))
+        x = _residual(x, self.self_attn(normed, (k, v), mask), self.dropout, train, rng)
+        x = _residual(x, self.cross_attn(self.ln2(x), cross_kv, slots=slots),
+                      self.dropout, train, rng)
+        x = _residual(x, self.ffn(self.ln3(x), self.dropout, train, rng),
+                      self.dropout, train, rng)
         return x, (k, v)
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
@@ -439,7 +409,7 @@ class CaptionerModel:
         x = ad.embedding(self.word_embed, token_ids)
         mask = causal_mask(t)
         for layer in self.dec_layers:
-            x = layer(x, memory, mask, train, rng)
+            x, _ = layer(x, layer.cross_attn.keys_values(memory), mask, train, rng)
         return self.out_proj(self.dec_final_ln(x))
 
     def start_decoding(self, memory: Tensor) -> DecoderCache:
@@ -456,12 +426,12 @@ class CaptionerModel:
         whole prefix over its clip's memory. Appends the position to
         `cache`."""
         with ad.no_grad():
-            x = ad.embedding(self.word_embed, np.asarray(last_ids))
+            x = ad.embedding(self.word_embed, np.asarray(last_ids)[:, None])
             slots = cache.slots(len(last_ids))
             for i, layer in enumerate(self.dec_layers):
-                x, cache.self_kv[i] = layer.step(x, cache.cross_kv[i], slots,
-                                                 cache.self_kv[i])
-            return self.out_proj(self.dec_final_ln(x))
+                x, cache.self_kv[i] = layer(x, cache.cross_kv[i], None, False, None,
+                                            past_kv=cache.self_kv[i], slots=slots)
+            return self.out_proj(self.dec_final_ln(x[:, 0]))
 
     def caption_logits(self, patches: np.ndarray, token_ids: np.ndarray,
                        train: bool = False,
@@ -473,12 +443,7 @@ class CaptionerModel:
         """Pre-sigmoid tag scores (B, K_tags) from the class-token row. A tag
         head stacked to (B, d, K_tags) and (B, 1, K_tags) gives batch row k
         its own head k."""
-        head = self.tag_head
-        # training keeps the 2-D product: the 3-D route sums the weight
-        # gradient over the batch in another order, which changes its bytes
-        if head.w.ndim == 2 and head.b.ndim == 1:
-            return head(encoded[:, 0, :])
-        return ad.reshape(head(encoded[:, :1, :]), (encoded.shape[0], -1))
+        return ad.reshape(self.tag_head(encoded[:, :1, :]), (encoded.shape[0], -1))
 
     def tagging_probabilities(self, encoded: Tensor) -> Tensor:
         return ad.sigmoid(self.tagging_logits(encoded))

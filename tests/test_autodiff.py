@@ -138,8 +138,20 @@ CAUSAL = np.triu(np.full((3, 3), -np.inf), 1)
 
 
 def attend(q, k, v, mask=None):
-    """ad.attention at d_k 3 (a scale that is not a power of two), output only."""
-    return ad.attention(q, k, v, 1.0 / np.sqrt(3.0), mask)[0]
+    """ad.attention at d_k 3 (a scale that is not a power of two)."""
+    return ad.attention(q, k, v, 1.0 / np.sqrt(3.0), mask)
+
+
+def attention_weights(q, k, scale, mask=None):
+    """ad.attention's weights: the node on identity values, w @ I = w."""
+    tk = k.shape[-2]
+    with ad.no_grad():
+        return ad.attention(q, k, Tensor(np.broadcast_to(np.eye(tk), k.shape[:-2] + (tk, tk))),
+                            scale, mask).data
+
+
+def fused_attention(q, k, v, scale, mask):
+    return ad.attention(q, k, v, scale, mask), attention_weights(q, k, scale, mask)
 
 
 def composite_attention(q, k, v, scale, mask):
@@ -166,7 +178,7 @@ def test_attention_bytes_equal_composite(name):
     q_shape, kv_shape, mask = ATTN_CASES[name]
     probe = Tensor(rand(q_shape, seed=9))
     results = []
-    for op in (ad.attention, composite_attention):
+    for op in (fused_attention, composite_attention):
         q = Tensor(rand(q_shape, seed=1) * 2.0, requires_grad=True)
         k = Tensor(rand(kv_shape, seed=2) * 2.0, requires_grad=True)
         v = Tensor(rand(kv_shape, seed=3), requires_grad=True)
@@ -180,9 +192,59 @@ def test_attention_bytes_equal_composite(name):
 
 def test_attention_causal_mask_zeroes_future_weights():
     x = Tensor(rand((1, 1, 3, 3)))
-    _, weights = ad.attention(x, x, x, 1.0, CAUSAL)
+    weights = attention_weights(x, x, 1.0, CAUSAL)
     assert np.all(weights[..., CAUSAL == -np.inf] == 0.0)
     np.testing.assert_allclose(weights.sum(axis=-1), np.ones((1, 1, 3)), atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# linear
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("x_shape,d_out", [((2, 5, 4), 3), ((1, 6, 3), 5), ((3, 4, 8), 6),
+                                           ((2, 157, 16), 64)])
+def test_linear_bytes_equal_matmul_add(x_shape, d_out):
+    # for T > 1 the folded GEMM gives the bytes of the batched matmul + add
+    # chain; so do the input and bias gradients, and at B = 1 the weight's
+    probe = Tensor(rand(x_shape[:-1] + (d_out,), seed=4))
+    results = []
+    for op in (ad.linear, lambda x, w, b: ad.add(ad.matmul(x, w), b)):
+        x = Tensor(rand(x_shape, seed=1), requires_grad=True)
+        w = Tensor(rand((x_shape[-1], d_out), seed=2), requires_grad=True)
+        b = Tensor(rand((d_out,), seed=3), requires_grad=True)
+        out = op(x, w, b)
+        ad.backward(ad.sum_(ad.mul(out, probe)))
+        results.append((out.data, x.grad, b.grad) + ((w.grad,) if x_shape[0] == 1 else ()))
+    for fused, ref in zip(*results):
+        assert fused.shape == ref.shape
+        assert fused.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("t", [1, 4])
+def test_stacked_linear_equals_separate_products(t):
+    # batch row k of x (K, T, in) uses weight copy k, or bias copy k
+    x, w, b = rand((3, t, 5), 1), rand((3, 5, 6), 2), rand((3, 1, 6), 3)
+    with ad.no_grad():
+        by_weight = ad.linear(Tensor(x), Tensor(w), Tensor(b[0, 0])).data
+        by_bias = ad.linear(Tensor(x), Tensor(w[0]), Tensor(b)).data
+        for k in range(3):
+            one = ad.linear(Tensor(x[k:k + 1]), Tensor(w[k]), Tensor(b[0, 0])).data
+            assert by_weight[k:k + 1].tobytes() == one.tobytes()
+            one = ad.linear(Tensor(x[k:k + 1]), Tensor(w[0]), Tensor(b[k, 0])).data
+            assert by_bias[k:k + 1].tobytes() == one.tobytes()
+    assert by_weight.shape == by_bias.shape == (3, t, 6)
+
+
+def test_stacked_linear_rejected_under_grad():
+    x, w, b = rand((2, 3, 4), 1), rand((4, 5), 2), rand((5,), 3)
+    stacked_w, stacked_b = rand((2, 4, 5), 4), rand((2, 1, 5), 5)
+    for args in ((x, Tensor(stacked_w, requires_grad=True), b),
+                 (x, w, Tensor(stacked_b, requires_grad=True)),
+                 (Tensor(x, requires_grad=True), stacked_w, b)):
+        with pytest.raises(ValueError, match="no_grad"):
+            ad.linear(*args)
+        with ad.no_grad():
+            assert ad.linear(*args).shape == (2, 3, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -421,25 +483,31 @@ CONSTANT_INPUT_CASES = {
         t, Tensor(np.triu(np.full((4, 4), -1e9), 1)))),
     "attention_constant_keys_values": ((2, 2, 3, 3), lambda t: attend(
         t, Tensor(rand((1, 2, 5, 3), 1)), Tensor(rand((1, 2, 5, 3), 2)))),
+    "linear_constant_rows": ((4, 5), lambda t: ad.linear(
+        Tensor(rand((2, 3, 4), 1)), t, Tensor(rand((5,), 2)))),
+    "linear_constant_weight": ((2, 3, 4), lambda t: ad.linear(
+        t, Tensor(rand((4, 5), 1)), Tensor(rand((5,), 2)))),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CONSTANT_INPUT_CASES))
-def test_constant_input_gets_no_edge_and_no_gradient(name, monkeypatch):
-    # every rule of these ops sums its gradient down to its input's shape, so
-    # the shapes `_unbroadcast` sees are the inputs whose rules ran
+def test_constant_input_gets_no_edge_and_no_gradient(name):
+    # the op's node holds one rule, the input's, and backward runs only it:
+    # each rule the node holds records the shape of the gradient it made
     shape, f = CONSTANT_INPUT_CASES[name]
     x = Tensor(rand(shape), requires_grad=True)
     out = f(x)
     assert [node for node, _ in out.node.edges] == [x.node]
     seen = []
-    true_unbroadcast = ad._unbroadcast
 
-    def recording(grad, to_shape):
-        seen.append(to_shape)
-        return true_unbroadcast(grad, to_shape)
+    def recording(rule):
+        def run(g):
+            grad = rule(g)
+            seen.append(grad.shape)
+            return grad
+        return run
 
-    monkeypatch.setattr(ad, "_unbroadcast", recording)
+    out.node.edges = tuple((node, recording(rule)) for node, rule in out.node.edges)
     ad.backward(ad.sum_(out))
     assert seen == [shape]
 
@@ -475,6 +543,12 @@ SAVED_CASES = {
         h, Tensor(rand((4, 3), 1)), Tensor(rand((4, 3), 2))), False, False),
     "attention_leaf_keys": ((2, 3), lambda h: attend(
         h, leaf((4, 3)), Tensor(rand((4, 3), 2))), True, False),
+    "linear_constant": ((2, 3), lambda h: ad.linear(
+        h, Tensor(rand((3, 4), 1)), Tensor(rand((4,), 2))), False, False),
+    "linear_leaf_weight": ((2, 3), lambda h: ad.linear(h, leaf((3, 4)), leaf((4,))),
+                           True, False),
+    "linear_as_weight": ((3, 4), lambda h: ad.linear(Tensor(rand((2, 3), 1)), h),
+                         False, False),
     "dropout": ((2, 3), lambda h: ad.dropout(h, 0.5, np.random.default_rng(0)),
                 False, False),
     "embedding": ((5, 3), lambda h: ad.embedding(h, np.array([[0, 4], [2, 2]])),
@@ -608,6 +682,16 @@ FD_CASES = {
         Tensor(rand((2, 2, 3, 3), 3))))),
     "attention_qkv_one_tensor_causal": ((2, 2, 3, 3), lambda t: ad.sum_(ad.mul(
         attend(t, t, t, CAUSAL), Tensor(rand((2, 2, 3, 3), 3))))),
+    "linear_x": ((2, 3, 4), lambda t: ad.sum_(ad.mul(ad.linear(
+        t, Tensor(rand((4, 5), 1)), Tensor(rand((5,), 2))), Tensor(rand((2, 3, 5), 3))))),
+    "linear_w": ((4, 5), lambda t: ad.sum_(ad.mul(ad.linear(
+        Tensor(rand((2, 3, 4), 1)), t, Tensor(rand((5,), 2))), Tensor(rand((2, 3, 5), 3))))),
+    "linear_b": ((5,), lambda t: ad.sum_(ad.mul(ad.linear(
+        Tensor(rand((2, 3, 4), 1)), Tensor(rand((4, 5), 2)), t), Tensor(rand((2, 3, 5), 3))))),
+    "linear_rows_no_bias": ((3, 4), lambda t: ad.sum_(ad.mul(ad.linear(
+        t, Tensor(rand((4, 5), 1))), Tensor(rand((3, 5), 3))))),
+    "linear_x_and_w_one_tensor": ((4, 4), lambda t: ad.sum_(ad.mul(ad.linear(
+        ad.exp(t), t, Tensor(rand((4,), 2))), Tensor(rand((4, 4), 3))))),
 }
 
 

@@ -79,16 +79,21 @@ def test_first_decode_step_needs_one_row_per_clip(clips, rows):
         model.decode_step([SOS] * rows, cache)
 
 
-def test_decode_step_attention_weight_shapes():
+def test_decode_step_attention_weight_shapes(attention_weights):
     model = toy_model(dec_layers=2)
     memory = toy_memory(model)  # 3 patches + class token = 4 rows
     cache = model.start_decoding(memory)
     model.decode_step([SOS], cache)
     cache.reorder([0, 0, 0])
+    attention_weights.clear()
     model.decode_step([4, 5, 6], cache)
-    for layer in model.dec_layers:
-        assert layer.cross_attn.last_weights.shape == (3, 2, 1, 4)
-        assert layer.self_attn.last_weights.shape == (3, 2, 1, 2)
+    # per layer, self then cross attention; the clip's 3 rows are its
+    # queries 0, 1 and 2 in one padded cross-attention call
+    group, place = cache.slots(3)
+    assert len(attention_weights) == 2 * len(model.dec_layers)
+    for self_w, cross_w in zip(attention_weights[::2], attention_weights[1::2]):
+        assert cross_w[group, :, place][:, :, None].shape == (3, 2, 1, 4)
+        assert self_w.shape == (3, 2, 1, 2)
 
 
 # ---------------------------------------------------------------------------

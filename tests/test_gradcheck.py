@@ -113,19 +113,17 @@ def failing_tensors(report):
 
 
 def test_corrupted_bias_gradient_fails_stacked_tensors(monkeypatch):
-    # scale the gradient `add` passes to a parameter leaf: Linear's bias
-    true_add = autodiff.add
+    # scale the gradient `linear` passes to its bias, a parameter leaf
+    true_linear = autodiff.linear
 
-    def broken_add(a, b):
-        out = true_add(a, b)
-        # only a leaf's node holds a grad buffer
-        if out.node is not None and isinstance(b, autodiff.Tensor) \
-                and b.grad is not None:
+    def broken_linear(x, w, b=None):
+        out = true_linear(x, w, b)
+        if out.node is not None and b is not None and b.requires_grad:
             *rest, (leaf, rule) = out.node.edges  # b's edge comes last
             out.node.edges = (*rest, (leaf, lambda g: 1.5 * rule(g)))
         return out
 
-    monkeypatch.setattr(autodiff, "add", broken_add)
+    monkeypatch.setattr(autodiff, "linear", broken_linear)
     objective = small_objective()
     report = check_objective(objective)
     biases = {name for name, _ in objective.model.named_parameters()

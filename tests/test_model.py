@@ -78,24 +78,24 @@ def test_embed_patches_capacity_check():
 # multi-head attention
 # ---------------------------------------------------------------------------
 
-def test_attention_single_key_weight_is_one():
+def test_attention_single_key_weight_is_one(attention_weights):
     rng = np.random.default_rng(0)
     attn = MultiHeadAttention(8, 2, rng)
     xq = ad.Tensor(rand((1, 1, 8), 1))
     xkv = ad.Tensor(rand((1, 1, 8), 2))
-    out = attn(xq, xkv)
-    np.testing.assert_allclose(attn.last_weights, np.ones((1, 2, 1, 1)))
+    out = attn(xq, attn.keys_values(xkv))
+    np.testing.assert_allclose(attention_weights[-1], np.ones((1, 2, 1, 1)))
     v = xkv.data @ attn.wv.w.data
     np.testing.assert_allclose(out.data, v @ attn.wo.w.data, atol=1e-12)
 
 
-def test_attention_identical_keys_uniform_weights():
+def test_attention_identical_keys_uniform_weights(attention_weights):
     rng = np.random.default_rng(1)
     attn = MultiHeadAttention(8, 2, rng)
     xq = ad.Tensor(rand((1, 3, 8), 3))
     xkv = ad.Tensor(np.tile(rand((1, 1, 8), 4), (1, 5, 1)))
-    attn(xq, xkv)
-    np.testing.assert_allclose(attn.last_weights, np.full((1, 2, 3, 5), 0.2),
+    attn(xq, attn.keys_values(xkv))
+    np.testing.assert_allclose(attention_weights[-1], np.full((1, 2, 3, 5), 0.2),
                                atol=1e-12)
 
 
@@ -104,7 +104,7 @@ def test_attention_matches_dense_oracle_single_head():
     rng = np.random.default_rng(2)
     attn = MultiHeadAttention(4, 1, rng)
     x = rand((2, 4), seed=5)
-    out = attn(ad.Tensor(x[None]), ad.Tensor(x[None])).data[0]
+    out = attn(ad.Tensor(x[None]), attn.keys_values(ad.Tensor(x[None]))).data[0]
 
     q, k, v = x @ attn.wq.w.data, x @ attn.wk.w.data, x @ attn.wv.w.data
     scores = q @ k.T / np.sqrt(4)
@@ -119,17 +119,15 @@ def test_attention_mask_shape_mismatch_rejected():
     attn = MultiHeadAttention(8, 2, rng)
     x = ad.Tensor(rand((1, 3, 8)))
     with pytest.raises(ValueError):
-        attn(x, x, mask=np.zeros((2, 2)))
+        attn(x, attn.keys_values(x), mask=np.zeros((2, 2)))
 
 
-def test_attention_rows_are_distributions():
+def test_attention_rows_are_distributions(attention_weights):
     model = small_model()
     model.caption_logits(rand((2, 4, 8)), np.array([[1, 5, 6], [1, 7, 2]]))
-    attns = [layer.attn for layer in model.enc_layers]
-    for layer in model.dec_layers:
-        attns += [layer.self_attn, layer.cross_attn]
-    for attn in attns:
-        w = attn.last_weights
+    # one call per encoder layer, two per decoder layer
+    assert len(attention_weights) == 2 + 2 * 2
+    for w in attention_weights:
         assert np.all(w >= 0)
         np.testing.assert_allclose(w.sum(axis=-1), np.ones(w.shape[:-1]), atol=1e-6)
 
@@ -194,22 +192,22 @@ def test_decoder_causality_bit_exact():
 
 
 def test_decoder_layer_past_kv_matches_whole_prefix():
-    # one position at a time, `step` with past_kv builds the keys and values
-    # (and outputs) that the whole prefix under the causal mask does; row r
-    # is the only row of clip r
+    # one position at a time, the layer's call with past_kv and slots builds
+    # the keys and values (and outputs) that the whole prefix under the
+    # causal mask does; row r is the only row of clip r
     model = small_model()
     layer = model.dec_layers[0]
     memory = ad.Tensor(rand((2, 5, 16), 13))
     cross_kv = layer.cross_attn.keys_values(memory)
     x = ad.Tensor(rand((2, 4, 16), 14))
-    whole = layer(x, memory, causal_mask(4), False, None)
+    whole, _ = layer(x, cross_kv, causal_mask(4), False, None)
     k, v = layer.self_attn.keys_values(layer.ln1(x))
     slots = (np.arange(2), np.zeros(2, dtype=int))
     past_kv = None
     with ad.no_grad():
         for t in range(4):
-            out, past_kv = layer.step(x[:, t], cross_kv, slots, past_kv)
-            np.testing.assert_allclose(out.data, whole.data[:, t], rtol=0, atol=1e-12)
+            out, past_kv = layer(x[:, t:t + 1], cross_kv, None, False, None, past_kv, slots)
+            np.testing.assert_allclose(out.data[:, 0], whole.data[:, t], rtol=0, atol=1e-12)
     assert past_kv[0].shape == k.shape == (2, 2, 4, 8)
     np.testing.assert_allclose(past_kv[0].data, k.data, rtol=0, atol=1e-12)
     np.testing.assert_allclose(past_kv[1].data, v.data, rtol=0, atol=1e-12)
@@ -229,12 +227,14 @@ def test_decoder_empty_prefix_rejected():
         model.decode(np.zeros((1, 0), dtype=int), memory)
 
 
-def test_masked_attention_weights_zero_above_diagonal():
+def test_masked_attention_weights_zero_above_diagonal(attention_weights):
     model = small_model()
     memory = ad.Tensor(rand((1, 5, 16), 12))
     model.decode(np.array([[1, 4, 5, 6]]), memory)
-    for layer in model.dec_layers:
-        w = layer.self_attn.last_weights  # (1, h, T, T)
+    # each decoder layer attends over itself, then over the memory
+    assert len(attention_weights) == 2 * len(model.dec_layers)
+    for w in attention_weights[::2]:
+        assert w.shape == (1, 2, 4, 4)  # (1, h, T, T)
         for t in range(4):
             assert np.all(w[0, :, t, t + 1:] == 0.0)
 
