@@ -5,8 +5,8 @@ broadcasting, (batched) matmul, a linear layer folded into one 2-D GEMM,
 reductions, indexing, softmax/log-softmax, scaled dot-product attention,
 layer norm, GELU, sigmoid forms, dropout and embedding lookup. GELU's erf is
 `_erf`, in numpy: fdlibm's `s_erf.c` (after Cody 1969) for |x| < 0.84375 and
-`math.erf` past it, so numpy is the only dependency. Single-threaded graph
-semantics.
+`math.erf` past it, so numpy is the only dependency. A graph is built and
+run on one thread; grad mode (`no_grad`) is per thread.
 
 The graph is kept apart from the data. A recorded output's `Node` keeps
 one edge, an (input node, rule) pair, per input that requires grad:
@@ -14,21 +14,30 @@ rule(g) maps the output's gradient g to that input's. Inputs that need no
 gradient get no edge, so their gradient is never computed. A rule keeps
 only the arrays and shapes it reads, never a `Tensor`, so an intermediate
 array that no rule reads is freed as soon as the model code drops it. Only
-leaves (tensors made with requires_grad=True) hold a `.grad`, in their
-node; it accumulates until explicitly zeroed. There is one `backward` per
-graph: it drops each node's edges, and with them the saved arrays, once it
-has run them.
+leaves (tensors made with requires_grad=True, whose node has no edges) hold
+a `.grad`, in their node: None until a backward reaches the leaf, then
+accumulated across backwards until `zero_grad` drops it. There is one
+`backward` per graph: it drops each node's edges, and with them the saved
+arrays, once it has run them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from typing import Callable, Iterable
 
 import numpy as np
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Whether primitives record the graph, per thread."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -46,6 +55,10 @@ _ERF_QQ = tuple(np.array(c) for c in (
 # x * x >= 0.84375 ** 2 (exact: 729 / 1024) exactly when |x| >= 0.84375
 _ERF_TAIL_SQ = 0.84375 ** 2
 
+# elements per slice of elementwise work that makes many passes (GELU's erf,
+# Adam's update): a slice's arrays stay in L2 cache across the passes
+CHUNK = 16384
+
 
 # maps an output's gradient to one input's
 Rule = Callable[[np.ndarray], np.ndarray]
@@ -57,21 +70,22 @@ class NumericError(RuntimeError):
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block (inference / probing)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable graph recording inside the block (inference / probing), on
+    the calling thread only."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _grad_mode.enabled = prev
 
 
 class Node:
     """A tensor's place in the graph, apart from its data. A leaf's node
-    holds the leaf's `grad` buffer and no edges. A recorded output's node
-    holds `edges`, one (input node, rule) pair per input that requires
-    grad, until `backward` runs them and sets `edges` to None."""
+    has no edges and holds the leaf's `grad`, None until a backward reaches
+    it. A recorded output's node holds `edges`, one (input node, rule) pair
+    per input that requires grad (so at least one), until `backward` runs
+    them and sets `edges` to None."""
 
     __slots__ = ("edges", "grad")
 
@@ -88,7 +102,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.node = Node(grad=np.zeros_like(self.data)) if requires_grad else None
+        self.node = Node() if requires_grad else None
 
     @property
     def requires_grad(self) -> bool:
@@ -96,7 +110,8 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray | None:
-        """A leaf's gradient accumulator; None on every other tensor."""
+        """A leaf's gradient, None until a backward reaches it and after
+        `zero_grad`; None on every other tensor."""
         return None if self.node is None else self.node.grad
 
     @property
@@ -111,9 +126,9 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        grad = self.grad
-        if grad is not None:
-            grad[...] = 0.0
+        """Drop the gradient, so the next backward starts from none."""
+        if self.node is not None:
+            self.node.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -130,7 +145,7 @@ def _make(data: np.ndarray, *edges: tuple[Tensor, Rule]) -> Tensor:
     """A primitive's output, with a node that links the nodes of the inputs
     that require grad to their rules; the other rules are dropped."""
     out = Tensor(data)
-    if _GRAD_ENABLED:
+    if _grad_mode.enabled:
         kept = tuple((t.node, rule) for t, rule in edges if t.node is not None)
         if kept:
             out.node = Node(kept)
@@ -205,7 +220,7 @@ def linear(x, w, b=None) -> Tensor:
     x, w = _as_tensor(x), _as_tensor(w)
     b = None if b is None else _as_tensor(b)
     if w.ndim != 2 or (b is not None and b.ndim != 1):
-        if _GRAD_ENABLED and any(t is not None and t.requires_grad for t in (x, w, b)):
+        if _grad_mode.enabled and any(t is not None and t.requires_grad for t in (x, w, b)):
             raise ValueError("a stacked linear weight or bias is used only under no_grad")
         y = np.matmul(x.data, w.data)
         return Tensor(y if b is None else y + b.data)
@@ -378,7 +393,7 @@ def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finite(x: np.ndarray) -> bool:
+def all_finite(x: np.ndarray) -> bool:
     """Whether no element of `x` is ±inf or NaN: two reductions, no
     temporary array."""
     return x.size == 0 or bool(x.min() > -np.inf and x.max() < np.inf)
@@ -386,13 +401,17 @@ def _finite(x: np.ndarray) -> bool:
 
 def gelu(a) -> Tensor:
     """Exact-erf GELU: x * Phi(x), Phi(x) = (1 + erf(x / sqrt(2))) / 2, with
-    erf from `_erf` (fdlibm's `s_erf.c`, after Cody 1969). At ±inf it takes
-    its limits, without a warning: gelu(-inf) = -0.0 and gelu(inf) = inf,
-    with gradients 0 and 1."""
+    erf from `_erf` (fdlibm's `s_erf.c`, after Cody 1969), CHUNK elements
+    at a time, which its per-element bits allow. At ±inf it takes its
+    limits, without a warning: gelu(-inf) = -0.0 and gelu(inf) = inf, with
+    gradients 0 and 1."""
     a = _as_tensor(a)
     x = a.data
-    cdf = np.multiply(x, _INV_SQRT2)
-    _erf(cdf, cdf)
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty(x.shape))
+    flat = cdf.reshape(-1)
+    for start in range(0, flat.size, CHUNK):
+        part = flat[start:start + CHUNK]
+        _erf(part, part)
     cdf += 1.0
     cdf *= 0.5
 
@@ -402,7 +421,7 @@ def gelu(a) -> Tensor:
         out *= x
         np.exp(out, out=out)
         out *= _INV_SQRT2PI
-        if _finite(x):
+        if all_finite(x):
             out *= x
         else:  # x * pdf is 0 * inf at ±inf; its limit 0 is there already
             np.multiply(out, x, out=out, where=~np.isinf(x))
@@ -516,7 +535,7 @@ def embedding(weight, ids: np.ndarray) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[-2]):
         raise ValueError("embedding id out of range")
     if weight.ndim == 3:
-        if _GRAD_ENABLED and weight.requires_grad:
+        if _grad_mode.enabled and weight.requires_grad:
             raise ValueError("a stacked embedding table is looked up only under no_grad")
         if ids.shape[:1] != weight.shape[:1]:
             raise ValueError(f"ids {ids.shape} do not match stacked table {weight.shape}")
@@ -567,12 +586,13 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Add d(loss)/d(leaf) into .grad of every leaf feeding `loss`.
+    """Add d(loss)/d(leaf) into .grad of every leaf feeding `loss`; a leaf
+    without one gets its own copy.
 
-    Calls on separate graphs accumulate; the caller zeroes grads between
-    steps. Intermediate tensors keep .grad None. Each node's edges, and the
-    arrays their rules saved, are dropped once run, so a graph serves one
-    backward: a second one through it raises ValueError.
+    Calls on separate graphs accumulate until `zero_grad` drops the grads.
+    Intermediate tensors keep .grad None. Each node's edges, and the arrays
+    their rules saved, are dropped once run, so a graph serves one backward:
+    a second one through it raises ValueError.
     """
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
@@ -607,8 +627,13 @@ def backward(loss: Tensor) -> None:
     flowing: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for node in reversed(topo):
         g = flowing.pop(id(node))
-        if node.grad is not None:
-            node.grad += g
+        if not node.edges:  # a leaf
+            if node.grad is None:
+                # a copy, since a rule may hand one array to several inputs;
+                # + 0.0 writes -0.0 as +0.0, as adding into zeros did
+                node.grad = np.add(g, 0.0, out=np.empty(g.shape))
+            else:
+                node.grad += g
             continue
         edges, node.edges = node.edges, None
         for parent, rule in edges:

@@ -194,7 +194,8 @@ def check_objective(objective: Objective, h: float = 1e-4) -> GradCheckReport:
     objective.keep_stage_inputs()
     per_param = {}
     for name, p in model.named_parameters():
-        analytic = p.grad.reshape(-1)
+        # a tensor the loss does not reach has no grad: its gradient is 0
+        analytic = np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1)
         if not np.all(np.isfinite(analytic)):
             raise NumericError("non-finite analytic gradient")
         central = _central_differences(objective, p, h)

@@ -59,18 +59,6 @@ class DecoderConfig:
             raise ValueError("dropout must be in [0, 1)")
 
 
-# published decoder variants: embedding dim / layers / heads
-DECODER_PRESETS = {
-    "small": dict(d=512, layers=2, heads=4, ffn_dim=2048),
-    "medium": dict(d=512, layers=4, heads=8, ffn_dim=2048),
-    "large": dict(d=512, layers=6, heads=8, ffn_dim=2048),
-}
-
-
-def decoder_preset(name: str, vocab_size: int, dropout: float = 0.2) -> DecoderConfig:
-    return DecoderConfig(vocab_size=vocab_size, dropout=dropout, **DECODER_PRESETS[name])
-
-
 def _param(rng: np.random.Generator | None, shape: tuple[int, ...],
            fill: float | None = None) -> Tensor:
     """A trainable parameter: N(0, INIT_STD) draws from `rng`, or `fill`

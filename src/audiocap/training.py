@@ -174,7 +174,8 @@ def train_epoch(examples: Sequence, batch_loss: BatchLoss, cfg: TrainConfig,
         if not math.isfinite(value):
             raise NumericError(f"non-finite loss {value} at epoch {epoch}, batch {bi + 1}")
         ad.backward(loss)
-        if not all(np.isfinite(p.grad).all() for p in optimizer.params):
+        if not all(ad.all_finite(p.grad) for p in optimizer.params
+                   if p.grad is not None):
             raise NumericError(f"non-finite gradient at epoch {epoch}, batch {bi + 1}")
         optimizer.step(lr)
         losses.append(value)

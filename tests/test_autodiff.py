@@ -284,6 +284,22 @@ def test_gelu_takes_its_limits_at_infinity_without_a_warning():
     assert x.grad[2:6].tobytes() == lone.grad.tobytes()
 
 
+def test_gelu_bytes_do_not_depend_on_chunking():
+    # gelu runs erf CHUNK elements at a time; tail values, ±inf and NaN sit
+    # in every chunk, and the input may be a strided view
+    rng = np.random.default_rng(4)
+    x = rng.normal(0.0, 2.0, 2 * ad.CHUNK + 3)
+    x[[0, ad.CHUNK - 1, ad.CHUNK, 2 * ad.CHUNK + 2]] = [np.inf, -np.inf, np.nan, 9.0]
+    pieces = np.concatenate([ad.gelu(Tensor(x[i:i + 1000])).data
+                             for i in range(0, x.size, 1000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole = ad.gelu(Tensor(x)).data
+    assert whole.tobytes() == pieces.tobytes()
+    strided = np.stack([x, x])[:, ::-1].T  # (n, 2), neither C nor F order
+    assert ad.gelu(Tensor(strided)).data[::-1, 0].tobytes() == pieces.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # erf
 # ---------------------------------------------------------------------------
@@ -426,7 +442,8 @@ def test_backward_unused_tensor_grad_stays_zero():
     x = Tensor(rand((3,)), requires_grad=True)
     unused = Tensor(rand((5,), seed=1), requires_grad=True)
     ad.backward(ad.sum_(x))
-    np.testing.assert_array_equal(unused.grad, np.zeros(5))
+    # no gradient at all: Adam steps a leaf with none as with zeros
+    assert unused.grad is None
 
 
 def test_cross_entropy_gradient_is_softmax_minus_onehot():
@@ -473,6 +490,79 @@ def test_backward_shared_gradient_array_is_not_mutated():
     np.testing.assert_array_equal(a.grad, np.ones(3))
     np.testing.assert_array_equal(b.grad, np.full(3, 4.0))
     np.testing.assert_array_equal(c.grad, np.ones(3))
+
+
+def test_first_gradient_through_add_is_each_leafs_own_copy():
+    # add's rules hand one array to both inputs, and sum_'s is a read-only
+    # broadcast view: a leaf's first gradient must be its own array
+    a, b = (Tensor(np.zeros(3), requires_grad=True) for _ in range(2))
+    ad.backward(ad.sum_(ad.add(a, b)))
+    assert not np.shares_memory(a.grad, b.grad)
+    ad.backward(ad.sum_(ad.mul(a, 2.0)))
+    np.testing.assert_array_equal(a.grad, np.full(3, 3.0))
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+    # p feeding two branches, and add(p, p): both contributions, one array
+    p, q = (Tensor(np.zeros(2), requires_grad=True) for _ in range(2))
+    ad.backward(ad.add(ad.sum_(ad.add(p, p)), ad.sum_(ad.add(ad.mul(p, 3.0), q))))
+    np.testing.assert_array_equal(p.grad, np.full(2, 5.0))
+    assert not np.shares_memory(p.grad, q.grad)
+    ad.backward(ad.sum_(q))
+    np.testing.assert_array_equal(p.grad, np.full(2, 5.0))
+    np.testing.assert_array_equal(q.grad, np.full(2, 2.0))
+
+
+def test_first_gradient_keeps_zero_sign_of_zero_filled_accumulator():
+    # a leaf's first gradient is g + 0.0: -0.0 reads +0.0, as it did when
+    # backward added into a zero-filled buffer
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    ad.backward(ad.sum_(ad.mul(x, np.array([-0.0, -1.0]))))
+    assert x.grad.tobytes() == (np.zeros(2) + np.array([-0.0, -1.0])).tobytes()
+
+
+def test_no_grad_in_another_thread_leaves_recording_on():
+    # grad mode is per thread: each layer of the graph is recorded while
+    # another thread sits inside no_grad, which it then leaves; the graph
+    # is whole and its grads equal a single-threaded run's
+    import threading
+
+    layers = 6
+    entered, release, left = threading.Event(), threading.Event(), threading.Event()
+
+    def other():
+        for _ in range(layers):
+            with ad.no_grad():
+                entered.set()
+                release.wait(10)
+                release.clear()
+            left.set()
+
+    def grads(in_lockstep):
+        x = Tensor(rand((3, 4)), requires_grad=True)
+        w = Tensor(rand((4, 4), seed=1) * 0.5, requires_grad=True)
+        h = x
+        for _ in range(layers):
+            if in_lockstep:
+                assert entered.wait(10)
+                entered.clear()
+            h = ad.gelu(ad.matmul(h, w))
+            if in_lockstep:
+                release.set()
+                assert left.wait(10)
+                left.clear()
+        ad.backward(ad.sum_(h))
+        return x.grad, w.grad
+
+    worker = threading.Thread(target=other)
+    worker.start()
+    try:
+        threaded = grads(in_lockstep=True)
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    single = grads(in_lockstep=False)
+    for got, want in zip(threaded, single):
+        assert got is not None and got.tobytes() == want.tobytes()
 
 
 # (shape of the input that requires grad, op with one constant input)

@@ -977,3 +977,21 @@ def test_cli_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_train_bytes_do_not_depend_on_blas_threads(tmp_path, corpus):
+    # audiocap pins numpy's OpenBLAS to one thread at import, so a desk-size
+    # model trains to the same bytes whatever OPENBLAS_NUM_THREADS says
+    src = Path(cli.__file__).resolve().parents[1]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 7, "train": {"epochs": 2, "batch_size": 2},
+                                  "word2vec": {"epochs": 1}}), encoding="utf-8")
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "audiocap.cli", "train", "--config", str(config),
+                        "--manifest", str(corpus / "captions.jsonl"), "--out", str(out)],
+                       env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads),
+                       capture_output=True, check=True)
+        digests.append(sha(out / "model.bin"))
+    assert digests[0] == digests[1]

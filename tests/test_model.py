@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from audiocap import autodiff as ad
-from audiocap.model import (DECODER_PRESETS, CaptionerModel, DecoderConfig,
-                            EncoderConfig, MultiHeadAttention, causal_mask,
-                            decoder_preset)
+from audiocap.model import (CaptionerModel, DecoderConfig, EncoderConfig,
+                            MultiHeadAttention, causal_mask)
 
 
 def small_model(seed=0, num_tags=3, vocab_size=11, enc_d=16, dec_d=16,
@@ -336,10 +335,18 @@ def decoder_param_count(d: int, layers: int, ffn: int, vocab: int) -> int:
     return layers * per_layer + 2 * d + vocab * d + d * vocab + vocab
 
 
-@pytest.mark.parametrize("name", sorted(DECODER_PRESETS))
+# the paper's decoder variants: embedding dim / layers / heads / FFN width
+PUBLISHED_DECODERS = {
+    "small": dict(d=512, layers=2, heads=4, ffn_dim=2048),
+    "medium": dict(d=512, layers=4, heads=8, ffn_dim=2048),
+    "large": dict(d=512, layers=6, heads=8, ffn_dim=2048),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLISHED_DECODERS))
 def test_published_decoder_variant_sizes(name):
     vocab = 5000
-    cfg = decoder_preset(name, vocab_size=vocab)
+    cfg = DecoderConfig(vocab_size=vocab, **PUBLISHED_DECODERS[name])
     enc = EncoderConfig(d=16, heads=2, layers=1, ffn_dim=32, dropout=0.0,
                         patch_dim=8, max_patches=4)
     model = CaptionerModel(enc, cfg, num_tags=1, seed=0)
@@ -347,9 +354,3 @@ def test_published_decoder_variant_sizes(name):
                  if n.startswith("dec."))
     expected = decoder_param_count(cfg.d, cfg.layers, cfg.ffn_dim, vocab)
     assert actual == expected
-
-
-def test_decoder_presets_match_published_table():
-    assert DECODER_PRESETS["small"] == dict(d=512, layers=2, heads=4, ffn_dim=2048)
-    assert DECODER_PRESETS["medium"] == dict(d=512, layers=4, heads=8, ffn_dim=2048)
-    assert DECODER_PRESETS["large"] == dict(d=512, layers=6, heads=8, ffn_dim=2048)

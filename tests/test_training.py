@@ -208,6 +208,20 @@ def test_gradients_reach_every_caption_parameter():
         assert np.abs(p.grad).max() > 0, f"zero gradient for {name}"
 
 
+def test_zero_grad_leaves_no_gradient_on_any_parameter():
+    # no gradient buffer stands between steps: zero_grad drops every
+    # trainable leaf's grad, and the tagging head, which the caption loss
+    # does not reach, never gets one
+    model = small_model()
+    optimizer = Adam(trainable_caption_params(model, freeze_encoder=False))
+    ad.backward(caption_batch_loss(model, toy_examples(), 0.1, train=False, rng=None))
+    optimizer.step(1e-4)
+    assert all(p.grad is not None for p in optimizer.params)
+    assert all(p.grad is None for n, p in model.named_parameters() if n.startswith("tag_head"))
+    optimizer.zero_grad()
+    assert all(p.grad is None for _, p in model.named_parameters())
+
+
 def test_loss_curves_deterministic_per_seed():
     def run():
         model = small_model(seed=5)
