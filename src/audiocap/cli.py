@@ -324,6 +324,8 @@ def cmd_caption(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
+    if args.spice is not None and not 0.0 <= args.spice <= 1.0:  # NaN fails too
+        raise ValidationError(f"--spice must be a score in [0, 1], got {args.spice}")
     references = {}
     for rec in load_manifest(args.references):
         if not rec.captions:
@@ -375,7 +377,7 @@ def cmd_gradcheck(args) -> int:
     worst_name = max(report.per_param, key=report.per_param.get)
     print(f"checked {len(report.per_param)} parameter tensors")
     print(f"max relative error: {report.max_error:.3e} (worst: {worst_name})")
-    print(f"tolerance: {report.tolerance:.1e} -> {'PASS' if report.passed else 'FAIL'}")
+    print(f"tolerance: {gradcheck.DEFAULT_TOLERANCE:.1e} -> {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
 
 

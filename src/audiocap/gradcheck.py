@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import NumericError
 from .model import CaptionerModel, DecoderConfig, EncoderConfig
 from .text import EOS, SOS
-from .training import bce_with_logits, label_smoothed_ce, smoothed_targets
+from .training import bce_with_logits, caption_terms, label_smoothed_ce, tagging_terms
 
 DEFAULT_TOLERANCE = 1e-4
 CHUNK = 128  # scalars probed per forward pass
@@ -42,11 +42,10 @@ VOCAB_SIZE = 9
 class GradCheckReport:
     max_error: float
     per_param: dict[str, float]
-    tolerance: float = DEFAULT_TOLERANCE
 
     @property
     def passed(self) -> bool:
-        return self.max_error < self.tolerance
+        return self.max_error < DEFAULT_TOLERANCE
 
 
 def tiny_configs(d: int = 32, heads: int = 2, enc_layers: int = 2,
@@ -122,17 +121,14 @@ class Objective:
         from stage `start`, whose kept input (`keep_stage_inputs`) is
         repeated `rows` times; stage 0 runs the whole model. A parameter of
         that stage or a later one stacked on a leading axis of length `rows`
-        gives each row its own copy. Each row repeats `loss()`'s arithmetic,
-        so at equal parameters the values equal `loss()` bit for bit."""
+        gives each row its own copy. Each row sums its `caption_terms` and
+        averages its `tagging_terms` as `loss()` does, so at equal parameters
+        the values equal `loss()` bit for bit."""
         with ad.no_grad():
             logits, tag_logits = self._logits(rows, start)
-            logp = ad.log_softmax(logits).data
-            pos = ad.logsigmoid(tag_logits).data
-            neg = ad.logsigmoid(ad.neg(tag_logits)).data
-        q, valid = smoothed_targets(self.targets, logits.shape[-1], SMOOTHING)
-        ce = ((logp * q).sum(axis=-1) * valid).sum(axis=-1) * (-1.0 / valid.sum())
-        bce = -(pos * self.labels + neg * (1.0 - self.labels)).mean(axis=-1)
-        return ce + bce
+            ce, valid = caption_terms(logits, self.targets, SMOOTHING)
+            bce = tagging_terms(tag_logits, self.labels)
+        return ce.data.sum(axis=-1) * (-1.0 / valid.sum()) - bce.data.mean(axis=-1)
 
 
 def make_objective(seed, enc: EncoderConfig, dec: DecoderConfig) -> Objective:

@@ -60,53 +60,53 @@ def lr_at_epoch(epoch: int, cfg: TrainConfig) -> float:
     return cfg.base_lr * cfg.decay_factor ** ((epoch - 1) // cfg.decay_every)
 
 
-def smoothed_targets(targets: np.ndarray, k: int, smoothing: float,
-                     pad_id: int = PAD) -> tuple[np.ndarray, np.ndarray]:
-    """The smoothed target distribution q (..., k) of integer `targets` and
-    their non-pad mask (1.0 where the target is not pad_id)."""
+def caption_terms(logits: Tensor, targets: np.ndarray,
+                  smoothing: float) -> tuple[Tensor, np.ndarray]:
+    """Log-likelihoods (B, T) of logits (B, T, K) under integer targets
+    smoothed to (1 - eps) + eps/K on the true class and eps/K elsewhere, 0
+    where the target is PAD, and the non-pad mask. Targets (1, T) serve
+    every row."""
+    k = logits.shape[-1]
     q = np.full(targets.shape + (k,), smoothing / k)
     np.put_along_axis(q, targets[..., None], 1.0 - smoothing + smoothing / k, axis=-1)
-    return q, (targets != pad_id).astype(np.float64)
+    valid = (targets != PAD).astype(np.float64)
+    logp = ad.log_softmax(logits, axis=-1)
+    return ad.mul(ad.sum_(ad.mul(logp, q), axis=-1), valid), valid
 
 
-# gradcheck.Objective.row_losses repeats label_smoothed_ce and bce_with_logits
-# row by row in numpy, bit for bit; a change to either is made there too
+def tagging_terms(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Log-likelihood of each binary label under its pre-sigmoid score,
+    y log sigmoid(z) + (1 - y) log sigmoid(-z), via stable log-sigmoid."""
+    return ad.add(ad.mul(ad.logsigmoid(logits), labels),
+                  ad.mul(ad.logsigmoid(ad.neg(logits)), 1.0 - labels))
+
+
 def label_smoothed_ce(logits: Tensor, targets: np.ndarray,
-                      smoothing: float = 0.0, pad_id: int = PAD) -> Tensor:
-    """Mean negative log-likelihood of logits (B, T, K) under smoothed
-    integer targets (B, T).
-
-    The true class receives (1 - eps) + eps/K and every other class eps/K.
-    Positions whose target is pad_id are excluded from the mean.
-    """
+                      smoothing: float = 0.0) -> Tensor:
+    """Mean negative `caption_terms` of logits (B, T, K) and integer targets
+    (B, T) over the positions whose target is not PAD."""
     targets = np.asarray(targets)
     b, t, k = logits.shape
     if targets.shape != (b, t):
         raise ValueError(f"targets shape {targets.shape} does not match logits {(b, t)}")
     if targets.min() < 0 or targets.max() >= k:
         raise ValueError("target id out of range for the vocabulary")
-    q, valid = smoothed_targets(targets, k, smoothing, pad_id)
+    terms, valid = caption_terms(logits, targets, smoothing)
     n_valid = valid.sum()
     if n_valid == 0:
         raise ValueError("no non-pad target positions")
-
-    logp = ad.log_softmax(logits, axis=-1)
-    per_pos = ad.sum_(ad.mul(logp, q), axis=-1)  # (B, T)
-    masked = ad.mul(per_pos, valid)
-    return ad.mul(ad.sum_(masked), -1.0 / n_valid)
+    return ad.mul(ad.sum_(terms), -1.0 / n_valid)
 
 
 def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Binary cross-entropy from pre-sigmoid scores via stable log-sigmoid,
-    reported as the mean over (sample, class) entries."""
+    """Binary cross-entropy from pre-sigmoid scores: the negative mean of
+    `tagging_terms` over (sample, class) entries."""
     labels = np.asarray(labels, dtype=np.float64)
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueError("tag labels must be binary")
     if labels.shape != logits.shape:
         raise ValueError(f"labels shape {labels.shape} != logits shape {logits.shape}")
-    pos = ad.mul(ad.logsigmoid(logits), labels)
-    neg = ad.mul(ad.logsigmoid(ad.neg(logits)), 1.0 - labels)
-    return ad.neg(ad.mean(ad.add(pos, neg)))
+    return ad.neg(ad.mean(tagging_terms(logits, labels)))
 
 
 # ---------------------------------------------------------------------------

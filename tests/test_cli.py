@@ -343,11 +343,16 @@ def test_caption_outputs_identical_across_runs(tmp_path, corpus):
     assert sha(a) == sha(b)
 
 
-def test_eval_identity_scores_one(tmp_path, corpus):
-    refs = corpus / "captions.jsonl"
-    caps = tmp_path / "caps.tsv"
+def identity_candidates(refs: Path, caps: Path) -> Path:
+    """Write each reference clip's first caption as its candidate."""
     rows = [json.loads(l) for l in refs.read_text().splitlines()]
     caps.write_text("".join(f"{r['id']}\t{r['captions'][0]}\n" for r in rows))
+    return caps
+
+
+def test_eval_identity_scores_one(tmp_path, corpus):
+    refs = corpus / "captions.jsonl"
+    caps = identity_candidates(refs, tmp_path / "caps.tsv")
     assert main(["eval", "--candidates", str(caps), "--references", str(refs),
                  "--out", str(tmp_path / "rep")]) == 0
     report = json.loads((tmp_path / "rep" / "report.json").read_text())
@@ -409,14 +414,35 @@ def test_eval_names_uncovered_references(tmp_path, corpus, capsys):
 
 def test_eval_spice_supplied_enables_spider(tmp_path, corpus):
     refs = corpus / "captions.jsonl"
-    caps = tmp_path / "caps.tsv"
-    rows = [json.loads(l) for l in refs.read_text().splitlines()]
-    caps.write_text("".join(f"{r['id']}\t{r['captions'][0]}\n" for r in rows))
+    caps = identity_candidates(refs, tmp_path / "caps.tsv")
     assert main(["eval", "--candidates", str(caps), "--references", str(refs),
                  "--spice", "0.2", "--out", str(tmp_path / "rep")]) == 0
     report = json.loads((tmp_path / "rep" / "report.json").read_text())
     assert "spider" in report["corpus"]
     assert "spice" not in report["unavailable"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
+def test_eval_rejects_spice_outside_unit_interval(tmp_path, corpus, capsys, value):
+    refs = corpus / "captions.jsonl"
+    caps = identity_candidates(refs, tmp_path / "caps.tsv")
+    out = tmp_path / "rep"
+    assert main(["eval", "--candidates", str(caps), "--references", str(refs),
+                 "--spice", value, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "--spice must be a score in [0, 1]" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0.0", "1.0"])
+def test_eval_accepts_spice_at_the_interval_ends(tmp_path, corpus, value):
+    refs = corpus / "captions.jsonl"
+    caps = identity_candidates(refs, tmp_path / "caps.tsv")
+    assert main(["eval", "--candidates", str(caps), "--references", str(refs),
+                 "--spice", value, "--out", str(tmp_path / "rep")]) == 0
+    report = json.loads((tmp_path / "rep" / "report.json").read_text())
+    assert report["corpus"]["spice"] == float(value)
+    assert report["corpus"]["spider"] == (report["corpus"]["cider"] + float(value)) / 2
 
 
 @pytest.mark.parametrize("line, complaint", [

@@ -11,10 +11,10 @@ from audiocap.model import CaptionerModel, DecoderConfig, EncoderConfig
 from audiocap.optim import Adam
 from audiocap.text import EOS, PAD, SOS
 from audiocap.training import (CaptionExample, TaggingExample, TrainConfig,
-                               bce_with_logits,
-                               caption_batch_loss, label_smoothed_ce,
+                               bce_with_logits, caption_batch_loss,
+                               caption_terms, label_smoothed_ce,
                                lr_at_epoch, pretrain_tagging,
-                               train_captioner, train_epoch,
+                               tagging_terms, train_captioner, train_epoch,
                                trainable_caption_params)
 
 
@@ -50,11 +50,10 @@ def test_ce_uniform_logits_is_log_vocab():
 
 
 def test_ce_smoothing_hand_oracle():
-    # eps=0.1, K=4, p=(0.7,0.1,0.1,0.1), target class 0:
-    # -(0.925*ln 0.7 + 3*0.025*ln 0.1) = 0.5026182051 (high-precision eval);
-    # pad exclusion disabled so class 0 is an ordinary target
-    loss = label_smoothed_ce(logits_for([[[0.7, 0.1, 0.1, 0.1]]]),
-                             np.array([[0]]), smoothing=0.1, pad_id=-1)
+    # eps=0.1, K=4, p=(0.1,0.1,0.1,0.7), target class 3:
+    # -(0.925*ln 0.7 + 3*0.025*ln 0.1) = 0.5026182051 (high-precision eval)
+    loss = label_smoothed_ce(logits_for([[[0.1, 0.1, 0.1, 0.7]]]),
+                             np.array([[3]]), smoothing=0.1)
     assert abs(loss.item() - 0.5026182051) < 1e-9
 
 
@@ -90,6 +89,29 @@ def test_ce_batched_matches_flat():
     flat = label_smoothed_ce(Tensor(logits.reshape(1, 6, 5)), targets.reshape(1, 6),
                              smoothing=0.1)
     assert abs(batched.item() - flat.item()) < 1e-12
+
+
+def test_caption_terms_broadcast_targets_match_one_row_calls():
+    # one (1, T) target row over B rows gives each row the bytes of its own
+    # (1, T) call
+    rng = np.random.default_rng(4)
+    logits = rng.normal(size=(5, 4, 7))
+    targets = np.array([[4, 6, 2, PAD]])
+    terms, valid = caption_terms(Tensor(logits), targets, 0.1)
+    assert terms.shape == (5, 4) and valid.shape == (1, 4)
+    for row in range(5):
+        alone, alone_valid = caption_terms(Tensor(logits[row:row + 1]), targets, 0.1)
+        assert terms.data[row].tobytes() == alone.data[0].tobytes()
+        assert alone_valid.tobytes() == valid.tobytes()
+
+
+def test_caption_terms_zero_at_pad_and_mask_counts_the_rest():
+    rng = np.random.default_rng(5)
+    targets = np.array([[4, PAD, 5, PAD], [PAD, 6, PAD, PAD]])
+    terms, valid = caption_terms(Tensor(rng.normal(size=(2, 4, 7))), targets, 0.1)
+    assert np.all(terms.data[targets == PAD] == 0.0)
+    assert np.all(terms.data[targets != PAD] < 0.0)
+    assert valid.sum() == 3 and np.array_equal(valid, targets != PAD)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +157,13 @@ def test_bce_with_logits_stable_at_extremes():
     loss = bce_with_logits(Tensor(np.array([[1000.0, -1000.0]])),
                            np.array([[1.0, 0.0]]))
     assert np.isfinite(loss.item()) and loss.item() < 1e-9
+
+
+def test_tagging_terms_finite_at_extremes():
+    z = np.array([[1000.0, -1000.0, 1000.0, -1000.0]])
+    terms = tagging_terms(Tensor(z), np.array([[1.0, 0.0, 0.0, 1.0]])).data
+    assert np.all(np.isfinite(terms))
+    assert np.allclose(terms, [0.0, 0.0, -1000.0, -1000.0], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
