@@ -25,16 +25,15 @@ from .checkpoint import (Checkpoint, load_checkpoint, load_model_state,
                          model_state, save_checkpoint)
 from .config import (RunConfig, ValidationError, load_run_config,
                      run_config_from_dict, run_config_to_dict)
-from .data import (ManifestRecord, load_caption_clips, load_manifest,
-                   load_tagging_clips, record_logmel, tag_name_list,
-                   training_examples, write_manifest)
+from .data import (CaptionClip, ManifestRecord, load_manifest, load_tagging_clips,
+                   record_logmel, tag_name_list, training_examples, write_manifest)
 from .decoding import beam_search_clips
 from .metrics import evaluate_captions
 from .model import CaptionerModel
 from .optim import Adam
 from .synth import MAX_EVENTS, corpus_clip
 from .text import (Vocabulary, build_vocabulary, decode as decode_tokens,
-                   save_vocabulary, tokenize_caption)
+                   encode as encode_tokens, save_vocabulary, tokenize_caption)
 from .training import (EpochStats, pretrain_tagging, train_captioner,
                        trainable_caption_params)
 from .word2vec import train_skipgram
@@ -194,6 +193,8 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
                 "--resume needs a caption checkpoint")
         cfg = run_config_from_dict(resume_ckpt.config)
         start_epoch = (resume_ckpt.epoch or 0) + 1
+        if start_epoch > cfg.train.epochs:
+            raise ValidationError("--resume: training already finished")
     cfg.frontend.check_clip_patches(cfg.encoder.max_patches)
 
     corpus = [tokenize_caption(rec.captions[0]) if rec.captions else []
@@ -209,7 +210,9 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
         raise ValidationError(
             f"--resume: {args.manifest} gives another vocabulary than {latest}: "
             f"id {i} is {ours} in the manifest, {theirs} in the checkpoint")
-    clips = load_caption_clips(records, cfg.frontend, vocab, base_dir)
+    clips = [CaptionClip(clip_id=rec.clip_id, logmel=record_logmel(rec, cfg.frontend, base_dir),
+                         tokens=encode_tokens(sent, vocab))
+             for rec, sent in zip(records, corpus)]
     tags = sorted({t for rec in records for t in rec.tags})
 
     dec_cfg = dataclasses.replace(cfg.decoder, vocab_size=len(vocab))
@@ -254,8 +257,6 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
             clips, cfg.frontend, cfg.augment, cfg.seed, epoch), cfg.train,
             start_epoch=start_epoch, optimizer=optimizer, on_epoch=on_epoch)
 
-    if start_epoch > cfg.train.epochs:
-        raise ValidationError("--resume: training already finished")
     _fit(out_dir, cfg.train.checkpoint_every, train, checkpoint, "caption training done",
          resumed_epoch=start_epoch - 1 if args.resume else None)
     save_vocabulary(vocab, out_dir / "vocab.txt")

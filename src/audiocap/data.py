@@ -14,7 +14,6 @@ from .audio import (FrontendConfig, LogMelSpectrogram, SpecAugmentPolicy,
                     compute_log_mel, patchify, read_wav, spec_augment)
 from .config import ValidationError
 from .synth import Event, synthesize_event_clip
-from .text import Vocabulary, encode, tokenize_caption
 from .training import CaptionExample, TaggingExample
 
 MANIFEST_KEYS = {"id", "wav", "events", "synth_seed", "captions", "tags"}
@@ -142,19 +141,6 @@ class TaggingClip:
 
     def example(self, patches: np.ndarray) -> TaggingExample:
         return TaggingExample(patches=patches, labels=self.labels)
-
-
-def load_caption_clips(records: list[ManifestRecord], cfg: FrontendConfig,
-                       vocab: Vocabulary, base_dir: str | Path) -> list[CaptionClip]:
-    clips = []
-    for rec in records:
-        if not rec.captions:
-            raise ValidationError(f"clip {rec.clip_id!r} has no captions")
-        tokens = encode(tokenize_caption(rec.captions[0]), vocab)
-        clips.append(CaptionClip(clip_id=rec.clip_id,
-                                 logmel=record_logmel(rec, cfg, base_dir),
-                                 tokens=tokens))
-    return clips
 
 
 def tag_name_list(records: list[ManifestRecord]) -> list[str]:

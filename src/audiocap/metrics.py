@@ -252,7 +252,9 @@ def evaluate_captions(candidates: dict[str, list[str]],
                       bleu_smoothing: bool = False) -> MetricReport:
     """Score candidates against references keyed by clip id. Reference
     clips without a candidate are not scored; they are listed, sorted, in
-    metadata["uncovered_references"]."""
+    metadata["uncovered_references"]. A SPICE score must lie in [0, 1]."""
+    if spice_score is not None and not 0.0 <= spice_score <= 1.0:  # NaN fails too
+        raise ValueError(f"spice_score must be in [0, 1], got {spice_score}")
     missing = sorted(set(candidates) - set(references))
     if missing:
         raise ValueError(f"candidate clip ids missing from references: {missing}")

@@ -71,7 +71,22 @@ def _param(rng: np.random.Generator | None, shape: tuple[int, ...],
     return Tensor(data, requires_grad=True)
 
 
-class Linear:
+class Module:
+    """A model part. Every `Tensor` attribute is a parameter and every
+    `Module` attribute a sub-part; other attributes (None, sizes, rates) are
+    neither."""
+
+    def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
+        """(`prefix.attr` dotted name, parameter) pairs, sub-parts walked in
+        place, in the order the constructor set the attributes."""
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor):
+                yield f"{prefix}.{attr}", value
+            elif isinstance(value, Module):
+                yield from value.named_params(f"{prefix}.{attr}")
+
+
+class Linear(Module):
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None,
                  bias: bool = True):
         self.w = _param(rng, (d_in, d_out))
@@ -80,13 +95,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.w, self.b)
 
-    def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.w", self.w
-        if self.b is not None:
-            yield f"{prefix}.b", self.b
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, d: int, rng: np.random.Generator | None):
         # rng draws nothing here; None asks for placeholders (see _param)
         self.gamma = _param(rng, (d,), 1.0)
@@ -95,12 +105,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gamma, self.beta)
 
-    def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
 
-
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Scaled dot-product attention with h heads and output mixing."""
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator | None):
@@ -147,13 +153,8 @@ class MultiHeadAttention:
         mixed = ad.transpose(mixed, (0, 2, 1, 3))
         return self.wo(ad.reshape(mixed, (b, tq, self.d)))
 
-    def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for name, sub in (("wq", self.wq), ("wk", self.wk),
-                          ("wv", self.wv), ("wo", self.wo)):
-            yield from sub.named_params(f"{prefix}.{name}")
 
-
-class FeedForward:
+class FeedForward(Module):
     def __init__(self, d: int, ffn_dim: int, rng: np.random.Generator | None):
         self.fc1 = Linear(d, ffn_dim, rng)
         self.fc2 = Linear(ffn_dim, d, rng)
@@ -165,10 +166,6 @@ class FeedForward:
             h = ad.dropout(h, dropout, rng)
         return self.fc2(h)
 
-    def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.fc1.named_params(f"{prefix}.fc1")
-        yield from self.fc2.named_params(f"{prefix}.fc2")
-
 
 def _residual(x: Tensor, sublayer_out: Tensor, dropout: float, train: bool,
               rng: np.random.Generator | None) -> Tensor:
@@ -177,7 +174,7 @@ def _residual(x: Tensor, sublayer_out: Tensor, dropout: float, train: bool,
     return ad.add(x, sublayer_out)
 
 
-class EncoderLayer:
+class EncoderLayer(Module):
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator | None):
         self.ln1 = LayerNorm(cfg.d, rng)
         self.attn = MultiHeadAttention(cfg.d, cfg.heads, rng)
@@ -193,14 +190,8 @@ class EncoderLayer:
                       self.dropout, train, rng)
         return x
 
-    def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.ln1.named_params(f"{prefix}.ln1")
-        yield from self.attn.named_params(f"{prefix}.attn")
-        yield from self.ln2.named_params(f"{prefix}.ln2")
-        yield from self.ffn.named_params(f"{prefix}.ffn")
 
-
-class DecoderLayer:
+class DecoderLayer(Module):
     def __init__(self, cfg: DecoderConfig, rng: np.random.Generator | None):
         self.ln1 = LayerNorm(cfg.d, rng)
         self.self_attn = MultiHeadAttention(cfg.d, cfg.heads, rng)
@@ -232,14 +223,6 @@ class DecoderLayer:
         x = _residual(x, self.ffn(self.ln3(x), self.dropout, train, rng),
                       self.dropout, train, rng)
         return x, (k, v)
-
-    def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.ln1.named_params(f"{prefix}.ln1")
-        yield from self.self_attn.named_params(f"{prefix}.self_attn")
-        yield from self.ln2.named_params(f"{prefix}.ln2")
-        yield from self.cross_attn.named_params(f"{prefix}.cross_attn")
-        yield from self.ln3.named_params(f"{prefix}.ln3")
-        yield from self.ffn.named_params(f"{prefix}.ffn")
 
 
 class DecoderCache:

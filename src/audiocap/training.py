@@ -34,8 +34,13 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
+        # NaN fails both comparisons; json.loads accepts NaN and Infinity
+        if not 0.0 < self.base_lr < math.inf:
+            raise ValueError("base_lr must be positive and finite")
+        if self.decay_every < 1:
+            raise ValueError("decay_every must be >= 1")
+        if not 0.0 < self.decay_factor < math.inf:
+            raise ValueError("decay_factor must be positive and finite")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label_smoothing must be in [0, 1)")
         if not 0.0 <= self.dropout < 1.0:

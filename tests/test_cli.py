@@ -674,7 +674,7 @@ def test_resume_skips_truncated_latest_checkpoint(tmp_path, corpus, capsys):
         np.testing.assert_array_equal(arr, b.tensors[name], err_msg=name)
 
 
-def test_resume_orders_checkpoints_by_epoch_number(tmp_path, corpus, capsys):
+def test_resume_orders_checkpoints_by_epoch_number(tmp_path, corpus, capsys, monkeypatch):
     run = tmp_path / "run"
     assert main(["train", "--config", str(write_config(tmp_path)),
                  "--manifest", str(corpus / "captions.jsonl"),
@@ -687,6 +687,12 @@ def test_resume_orders_checkpoints_by_epoch_number(tmp_path, corpus, capsys):
         ckpt.epoch = epoch
         ckpt.config["train"]["epochs"] = 10000
         save_checkpoint(run / f"ckpt_epoch_{epoch}.bin", ckpt)
+
+    def no_log_mel(*args):
+        raise AssertionError("compute_log_mel ran")
+
+    # a finished run is refused before any clip's log-mel is computed
+    monkeypatch.setattr(data, "compute_log_mel", no_log_mel)
     code = main(["train", "--manifest", str(corpus / "captions.jsonl"),
                  "--out", str(run), "--resume"])
     assert code == 3
@@ -800,6 +806,7 @@ def test_resume_on_another_corpus_exits_3(tmp_path, capsys):
     assert main(["train", "--config", str(write_config(tmp_path)),
                  "--manifest", str(tmp_path / "corpus3" / "captions.jsonl"),
                  "--out", str(run)]) == 0
+    (run / "ckpt_epoch_0002.bin").unlink()  # resume after epoch 1 of 2, not a finished run
     capsys.readouterr()
     code = main(["train", "--manifest", str(tmp_path / "corpus9" / "captions.jsonl"),
                  "--out", str(run), "--resume"])
@@ -830,6 +837,18 @@ def test_word2vec_dim_mismatch_exit_3_before_any_log_mel(tmp_path, corpus, capsy
     assert "word2vec.dim 8 must be 0 or the decoder dim 16" in capsys.readouterr().err
     # without word2vec the dim is not read
     load_run_config(write_config(tmp_path, {"word2vec": {"enabled": False, "dim": 8}}))
+
+
+def test_bad_lr_schedule_exit_3_before_any_log_mel(tmp_path, corpus, capsys, monkeypatch):
+    # decay_every 0 used to train epoch 1, then die dividing by zero
+    def no_log_mel(*args):
+        raise AssertionError("compute_log_mel ran")
+
+    monkeypatch.setattr(data, "compute_log_mel", no_log_mel)
+    cfg = write_config(tmp_path, {"train.decay_every": 0})
+    assert main(["train", "--config", str(cfg), "--manifest", str(corpus / "captions.jsonl"),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert "decay_every must be >= 1" in capsys.readouterr().err
 
 
 def test_too_many_patches_exit_3_before_any_log_mel(tmp_path, corpus, capsys, monkeypatch):

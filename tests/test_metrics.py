@@ -383,6 +383,13 @@ def test_evaluate_captions_with_spice():
         (report.corpus_scores["cider"] + 0.2) / 2)
 
 
+@pytest.mark.parametrize("spice", [float("nan"), float("inf"), -0.1, 1.5])
+def test_evaluate_captions_rejects_spice_outside_unit_interval(spice):
+    # a NaN or infinite score would reach to_json as a bare NaN or Infinity
+    with pytest.raises(ValueError, match="spice_score must be in"):
+        evaluate_captions({"c1": ["a", "dog"]}, {"c1": [["a", "dog"]]}, spice_score=spice)
+
+
 def test_evaluate_captions_missing_id_named():
     with pytest.raises(ValueError, match="ghost"):
         evaluate_captions({"ghost": ["a"]}, {"real": [["a"]]})

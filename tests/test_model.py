@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from audiocap import autodiff as ad
-from audiocap.model import (CaptionerModel, DecoderConfig, EncoderConfig,
-                            MultiHeadAttention, causal_mask)
+from audiocap.model import (CaptionerModel, DecoderConfig, EncoderConfig, Linear,
+                            Module, MultiHeadAttention, causal_mask)
 
 
 def small_model(seed=0, num_tags=3, vocab_size=11, enc_d=16, dec_d=16,
@@ -308,6 +308,56 @@ def test_encoder_only_model_holds_encoder_and_tag_head():
     patches = rand((2, 4, 8))
     encoded = enc_only.encode(enc_only.embed_patches(patches))
     assert enc_only.tagging_logits(encoded).shape == (2, 3)
+
+
+# checkpoint names, Adam's tensor order and gradcheck's tables follow this
+ENCODER_NAMES = [
+    "enc.patch_embed.w", "enc.cls", "enc.pos",
+    "enc.layer0.ln1.gamma", "enc.layer0.ln1.beta",
+    "enc.layer0.attn.wq.w", "enc.layer0.attn.wk.w",
+    "enc.layer0.attn.wv.w", "enc.layer0.attn.wo.w",
+    "enc.layer0.ln2.gamma", "enc.layer0.ln2.beta",
+    "enc.layer0.ffn.fc1.w", "enc.layer0.ffn.fc1.b",
+    "enc.layer0.ffn.fc2.w", "enc.layer0.ffn.fc2.b",
+    "enc.final_ln.gamma", "enc.final_ln.beta",
+]
+DECODER_NAMES = [
+    "bridge.w", "bridge.b", "dec.word_embed",
+    "dec.layer0.ln1.gamma", "dec.layer0.ln1.beta",
+    "dec.layer0.self_attn.wq.w", "dec.layer0.self_attn.wk.w",
+    "dec.layer0.self_attn.wv.w", "dec.layer0.self_attn.wo.w",
+    "dec.layer0.ln2.gamma", "dec.layer0.ln2.beta",
+    "dec.layer0.cross_attn.wq.w", "dec.layer0.cross_attn.wk.w",
+    "dec.layer0.cross_attn.wv.w", "dec.layer0.cross_attn.wo.w",
+    "dec.layer0.ln3.gamma", "dec.layer0.ln3.beta",
+    "dec.layer0.ffn.fc1.w", "dec.layer0.ffn.fc1.b",
+    "dec.layer0.ffn.fc2.w", "dec.layer0.ffn.fc2.b",
+    "dec.final_ln.gamma", "dec.final_ln.beta",
+    "dec.out_proj.w", "dec.out_proj.b",
+]
+TAG_HEAD_NAMES = ["tag_head.w", "tag_head.b"]
+
+
+def test_named_parameters_order_is_pinned():
+    bridged = small_model(enc_d=16, dec_d=8, enc_layers=1, dec_layers=1)
+    assert ([n for n, _ in bridged.named_parameters()]
+            == ENCODER_NAMES + DECODER_NAMES + TAG_HEAD_NAMES)
+    enc_only = CaptionerModel(bridged.enc_cfg, None, num_tags=3, seed=0)
+    assert [n for n, _ in enc_only.named_parameters()] == ENCODER_NAMES + TAG_HEAD_NAMES
+
+
+def test_module_walks_tensor_attributes_in_set_order():
+    class Part(Module):
+        def __init__(self):
+            self.z = ad.Tensor(np.zeros(2))
+            self.missing = None
+            self.width = 3
+            self.inner = Linear(2, 3, np.random.default_rng(0), bias=False)
+            self.a = ad.Tensor(np.ones(1))
+
+    part = Part()
+    assert [(n, id(t)) for n, t in part.named_params("p")] == [
+        ("p.z", id(part.z)), ("p.inner.w", id(part.inner.w)), ("p.a", id(part.a))]
 
 
 # ---------------------------------------------------------------------------

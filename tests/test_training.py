@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -420,7 +421,12 @@ def test_bce_loss_decreases_during_pretraining():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(base_lr=0.0)
+    # a schedule that would fail, or log a NaN rate, only epochs later
+    for bad in (dict(base_lr=0.0), dict(base_lr=math.nan), dict(base_lr=math.inf),
+                dict(decay_every=0), dict(decay_every=-1), dict(decay_factor=0.0),
+                dict(decay_factor=-0.5), dict(decay_factor=math.nan),
+                dict(decay_factor=math.inf)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrainConfig(**bad)
     with pytest.raises(ValueError):
         TrainConfig(label_smoothing=1.0)
