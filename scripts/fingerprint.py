@@ -5,22 +5,26 @@ Runs in this process, in a temporary directory: synthesizes the seed-7
 8-clip corpus, pretrains tagging for 3 epochs, trains the captioner for 12
 epochs from the tagging encoder (dropout 0.1, label smoothing 0.1, a
 checkpoint every 6 epochs), captions at beam 1, 3 and 5, scores each set of
-captions, and runs `gradcheck` on its built-in model and, with `--config`,
-on a small model whose encoder and decoder widths differ (so a bridge maps
-one to the other) and whose config leaves the vocabulary unset; of each
-gradcheck it hashes the stdout and the per-tensor error table (the `repr`
-of every tensor's error, in `named_parameters` order). At each
-beam it also captions every clip as its own `--input clip.wav` and exits
-non-zero if a line differs from the manifest run's, whose clips are
-searched in lockstep. Prints one `sha256  name` line per output, the
-corpus's WAV files and manifests included, so that two checkouts produce
-the same bytes exactly when `diff` of their fingerprints is empty:
+captions, repeats both trainings shortly (2 tagging epochs, then 3 caption
+epochs) with SpecAugment masks redrawn each epoch, and runs `gradcheck` on
+its built-in model and, with `--config`, on a small model whose encoder and
+decoder widths differ (so a bridge maps one to the other) and whose config
+leaves the vocabulary unset; of each gradcheck it hashes the stdout and the
+per-tensor error table (the `repr` of every tensor's error, in
+`named_parameters` order). At each beam it also captions every clip as its
+own `--input clip.wav` and exits non-zero if a line differs from the
+manifest run's, whose clips are searched in lockstep. Prints one
+`sha256  name` line per output, the corpus's WAV files and manifests
+included, so that two checkouts produce the same bytes exactly when `diff`
+of their fingerprints is empty:
 
     PYTHONPATH=src python3 scripts/fingerprint.py > after.txt
     PYTHONPATH=<other checkout>/src python3 scripts/fingerprint.py > before.txt
     diff before.txt after.txt
 
-Logged losses are hashed without `wall_time`. Takes about 20 s on 2 cores.
+Logged losses are hashed without `wall_time`; the SpecAugment runs' two
+`model.bin` files and losses are hashed together, as one line. Takes about
+10 s on 2 cores.
 """
 
 import os
@@ -50,6 +54,12 @@ CONFIG = {
     "pretrain": {"epochs": 3, "batch_size": 2, "checkpoint_every": 0},
     "word2vec": {"epochs": 10},
 }
+# acceptance criterion 10's masks: one time and one frequency band per clip
+AUGMENTED_CONFIG = dict(
+    CONFIG, augment={"time_mask_width_max": 8, "freq_mask_width_max": 2,
+                     "num_time_masks": 1, "num_freq_masks": 1},
+    train=dict(CONFIG["train"], epochs=3, checkpoint_every=0),
+    pretrain=dict(CONFIG["pretrain"], epochs=2))
 BEAMS = (1, 3, 5)
 GRADCHECK_CONFIG = {
     "frontend": {"mel_bins": 8, "frames_per_patch": 2},
@@ -122,6 +132,13 @@ def main() -> None:
                              f"in the manifest {line!r}")
             run("eval", "--candidates", tsv, "--references", corpus / "captions.jsonl",
                 "--out", work / f"eval_beam{beam}")
+        augmented = work / "augmented"  # below the depth the globs below read
+        augmented_config = work / "augmented.json"
+        augmented_config.write_text(json.dumps(AUGMENTED_CONFIG), encoding="utf-8")
+        run("train", "--config", augmented_config, "--pretrain-tagging",
+            "--manifest", corpus / "tags.jsonl", "--out", augmented / "tagging")
+        run("train", "--config", augmented_config, "--manifest", corpus / "captions.jsonl",
+            "--out", augmented / "caption", "--init", augmented / "tagging" / "model.bin")
         gradcheck, errors = run_gradcheck("--seed", 0)
         gradcheck_config = work / "gradcheck.json"
         gradcheck_config.write_text(json.dumps(GRADCHECK_CONFIG), encoding="utf-8")
@@ -136,6 +153,10 @@ def main() -> None:
         for run_dir in ("tagging", "caption"):
             outputs[f"{run_dir}/metrics.jsonl without wall_time"] = losses(
                 work / run_dir / "metrics.jsonl")
+        outputs["SpecAugment runs: model.bin and metrics.jsonl without wall_time"] = "".join(
+            sha(data) for run_dir in (augmented / "tagging", augmented / "caption")
+            for data in ((run_dir / "model.bin").read_bytes(),
+                         losses(run_dir / "metrics.jsonl"))).encode("utf-8")
         outputs["gradcheck stdout"] = gradcheck.encode("utf-8")
         outputs["gradcheck --config stdout"] = bridged.encode("utf-8")
         outputs["gradcheck per-tensor errors"] = errors.encode("utf-8")

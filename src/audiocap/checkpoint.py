@@ -83,8 +83,8 @@ def _words(value) -> bool:
 
 
 def _count(value) -> bool:
-    """None or an integer: an epoch or step count."""
-    return value is None or (isinstance(value, int) and not isinstance(value, bool))
+    """None or a non-negative integer: an epoch or step count."""
+    return value is None or (type(value) is int and value >= 0)  # a bool is not a count
 
 
 def _tensor_entry(path, entry, body_size: int) -> tuple[str, tuple[int, ...], int]:
@@ -133,7 +133,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not (isinstance(header["kind"], str) and isinstance(header["config"], dict)
             and all(_words(header[k]) for k in ("vocab", "tags"))
             and _count(header.get("epoch")) and _count(header.get("optimizer_step"))):
-        raise ValidationError(f"{path}: checkpoint header has a field of the wrong type")
+        raise ValidationError(f"{path}: checkpoint header has a field of the wrong type or sign")
     body = memoryview(raw)[16 + header_len:]
     tensors: dict[str, np.ndarray] = {}
     optimizer: dict[str, np.ndarray] = {}

@@ -25,8 +25,8 @@ from .checkpoint import (Checkpoint, load_checkpoint, load_model_state,
                          model_state, save_checkpoint)
 from .config import (RunConfig, ValidationError, load_run_config,
                      run_config_from_dict, run_config_to_dict)
-from .data import (CaptionClip, ManifestRecord, load_manifest, load_tagging_clips,
-                   record_logmel, tag_name_list, training_examples, write_manifest)
+from .data import (ManifestRecord, load_manifest, load_tagging_clips, record_logmel,
+                   tag_name_list, training_examples, write_manifest)
 from .decoding import beam_search_clips
 from .metrics import evaluate_captions
 from .model import CaptionerModel
@@ -34,7 +34,7 @@ from .optim import Adam
 from .synth import MAX_EVENTS, corpus_clip
 from .text import (Vocabulary, build_vocabulary, decode as decode_tokens,
                    encode as encode_tokens, save_vocabulary, tokenize_caption)
-from .training import (EpochStats, pretrain_tagging, train_captioner,
+from .training import (CaptionExample, EpochStats, pretrain_tagging, train_captioner,
                        trainable_caption_params)
 from .word2vec import train_skipgram
 
@@ -166,7 +166,7 @@ def cmd_train(args) -> int:
 def _train_tagging(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> int:
     cfg.frontend.check_clip_patches(cfg.encoder.max_patches)
     tags = tag_name_list(records)
-    clips = load_tagging_clips(records, cfg.frontend, tags, base_dir)
+    examples = load_tagging_clips(records, cfg.frontend, tags, base_dir)
     model = CaptionerModel(cfg.encoder, None, num_tags=len(tags), seed=cfg.seed)
 
     def checkpoint(epoch: int, periodic: bool) -> Checkpoint:
@@ -175,7 +175,7 @@ def _train_tagging(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
 
     def train(on_epoch):
         return pretrain_tagging(model, lambda epoch: training_examples(
-            clips, cfg.frontend, cfg.augment, cfg.seed, epoch), cfg.pretrain, on_epoch=on_epoch)
+            examples, cfg.frontend, cfg.augment, cfg.seed, epoch), cfg.pretrain, on_epoch=on_epoch)
 
     _fit(out_dir, cfg.pretrain.checkpoint_every, train, checkpoint,
          "tagging pretraining done")
@@ -210,9 +210,11 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
         raise ValidationError(
             f"--resume: {args.manifest} gives another vocabulary than {latest}: "
             f"id {i} is {ours} in the manifest, {theirs} in the checkpoint")
-    clips = [CaptionClip(clip_id=rec.clip_id, logmel=record_logmel(rec, cfg.frontend, base_dir),
-                         tokens=encode_tokens(sent, vocab))
-             for rec, sent in zip(records, corpus)]
+    examples = []
+    for rec, sent in zip(records, corpus):
+        logmel = record_logmel(rec, cfg.frontend, base_dir)
+        examples.append(CaptionExample(patchify(logmel, cfg.frontend.frames_per_patch).patches,
+                                       encode_tokens(sent, vocab), logmel))
     tags = sorted({t for rec in records for t in rec.tags})
 
     dec_cfg = dataclasses.replace(cfg.decoder, vocab_size=len(vocab))
@@ -233,14 +235,14 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
                    if any(p is q for q in optimizer.params)]
     if resume_ckpt is not None:
         load_model_state(model, resume_ckpt.tensors)
-        moments = resume_ckpt.optimizer
-        missing = [key for name in param_names for key in (f"m.{name}", f"v.{name}")
-                   if key not in moments]
-        if missing:
-            raise ValidationError(f"{latest}: optimizer state lacks {missing}")
         for i, name in enumerate(param_names):
-            optimizer.m[i][...] = moments[f"m.{name}"]
-            optimizer.v[i][...] = moments[f"v.{name}"]
+            for key, moment in ((f"m.{name}", optimizer.m[i]), (f"v.{name}", optimizer.v[i])):
+                stored = resume_ckpt.optimizer.get(key)
+                if stored is None or stored.shape != moment.shape:  # else numpy broadcasts
+                    raise ValidationError(
+                        f"{latest}: optimizer state {key} must have its parameter's shape "
+                        f"{moment.shape}, has {'none' if stored is None else stored.shape}")
+                moment[...] = stored
         optimizer.t = resume_ckpt.optimizer_step
 
     def checkpoint(epoch: int, periodic: bool) -> Checkpoint:
@@ -254,7 +256,7 @@ def _train_caption(args, cfg: RunConfig, records, base_dir, out_dir: Path) -> in
 
     def train(on_epoch):
         return train_captioner(model, lambda epoch: training_examples(
-            clips, cfg.frontend, cfg.augment, cfg.seed, epoch), cfg.train,
+            examples, cfg.frontend, cfg.augment, cfg.seed, epoch), cfg.train,
             start_epoch=start_epoch, optimizer=optimizer, on_epoch=on_epoch)
 
     _fit(out_dir, cfg.train.checkpoint_every, train, checkpoint, "caption training done",

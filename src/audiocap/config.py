@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +26,13 @@ class Word2VecConfig:
     negatives: int = 5
     epochs: int = 15
     lr: float = 0.05
+
+    def __post_init__(self):
+        for key in ("window", "negatives", "epochs"):
+            if getattr(self, key) < 1:
+                raise ValidationError(f"word2vec.{key} must be >= 1")
+        if not 0.0 < self.lr < math.inf:  # NaN fails both comparisons
+            raise ValidationError("word2vec.lr must be positive and finite")
 
 
 @dataclass
@@ -59,6 +67,8 @@ class RunConfig:
     decode: DecodeConfig = field(default_factory=DecodeConfig)
 
     def __post_init__(self):
+        if self.min_count < 1:
+            raise ValidationError("min_count must be >= 1")
         expected = self.frontend.frames_per_patch * self.frontend.mel_bins
         if self.encoder.patch_dim != expected:
             raise ValidationError(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -85,10 +86,11 @@ def _record(where: str, d) -> ManifestRecord:
     for key in ("captions", "tags"):
         if not _strings(d.get(key, [])):
             raise ValidationError(f"{where}: {key} must be a list of strings")
-    events = d.get("events")
+    events = None if "events" not in d else [_event(where, e) for e in d["events"]]
+    if "wav" not in d and seed is None:  # an unseeded synthesis differs on every read
+        raise ValidationError(f"{where}: a record with events needs an integer synth_seed")
     return ManifestRecord(
-        clip_id=d["id"], wav=d.get("wav"), synth_seed=seed,
-        events=None if events is None else [_event(where, e) for e in events],
+        clip_id=d["id"], wav=d.get("wav"), synth_seed=seed, events=events,
         captions=list(d.get("captions", [])), tags=list(d.get("tags", [])))
 
 
@@ -123,26 +125,6 @@ def record_logmel(rec: ManifestRecord, cfg: FrontendConfig,
     return compute_log_mel(waveform, cfg)
 
 
-@dataclass
-class CaptionClip:
-    clip_id: str
-    logmel: LogMelSpectrogram
-    tokens: list[int]
-
-    def example(self, patches: np.ndarray) -> CaptionExample:
-        return CaptionExample(patches=patches, tokens=self.tokens)
-
-
-@dataclass
-class TaggingClip:
-    clip_id: str
-    logmel: LogMelSpectrogram
-    labels: np.ndarray
-
-    def example(self, patches: np.ndarray) -> TaggingExample:
-        return TaggingExample(patches=patches, labels=self.labels)
-
-
 def tag_name_list(records: list[ManifestRecord]) -> list[str]:
     names = sorted({t for rec in records for t in rec.tags})
     if not names:
@@ -151,9 +133,9 @@ def tag_name_list(records: list[ManifestRecord]) -> list[str]:
 
 
 def load_tagging_clips(records: list[ManifestRecord], cfg: FrontendConfig,
-                       tag_names: list[str], base_dir: str | Path) -> list[TaggingClip]:
+                       tag_names: list[str], base_dir: str | Path) -> list[TaggingExample]:
     index = {t: i for i, t in enumerate(tag_names)}
-    clips = []
+    examples = []
     for rec in records:
         if not rec.tags:
             raise ValidationError(f"clip {rec.clip_id!r} has no tags")
@@ -162,25 +144,25 @@ def load_tagging_clips(records: list[ManifestRecord], cfg: FrontendConfig,
             if t not in index:
                 raise ValidationError(f"clip {rec.clip_id!r} has unknown tag {t!r}")
             labels[index[t]] = 1.0
-        clips.append(TaggingClip(clip_id=rec.clip_id,
-                                 logmel=record_logmel(rec, cfg, base_dir),
-                                 labels=labels))
-    return clips
+        logmel = record_logmel(rec, cfg, base_dir)
+        examples.append(TaggingExample(patchify(logmel, cfg.frames_per_patch).patches,
+                                       labels, logmel))
+    return examples
 
 
 def _identity_policy(policy: SpecAugmentPolicy) -> bool:
-    return (policy.num_time_masks == 0 and policy.num_freq_masks == 0) or (
-        policy.time_mask_width_max == 0 and policy.freq_mask_width_max == 0)
+    """Whether every mask the policy draws has width 0."""
+    return ((policy.num_time_masks == 0 or policy.time_mask_width_max == 0)
+            and (policy.num_freq_masks == 0 or policy.freq_mask_width_max == 0))
 
 
-def training_examples(clips: list[CaptionClip] | list[TaggingClip], cfg: FrontendConfig,
-                      policy: SpecAugmentPolicy, seed, epoch: int
+def training_examples(examples: list[CaptionExample] | list[TaggingExample],
+                      cfg: FrontendConfig, policy: SpecAugmentPolicy, seed, epoch: int
                       ) -> list[CaptionExample] | list[TaggingExample]:
-    """Patchify each clip, applying fresh SpecAugment masks per epoch."""
-    examples = []
-    for i, clip in enumerate(clips):
-        spec = clip.logmel
-        if not _identity_policy(policy):  # the identity would copy each log-mel
-            spec = spec_augment(spec, policy, [seed, epoch, i])
-        examples.append(clip.example(patchify(spec, cfg.frames_per_patch).patches))
-    return examples
+    """The examples of one epoch: `examples` itself under the identity
+    policy, otherwise copies whose patches come from freshly masked log-mels."""
+    if _identity_policy(policy):
+        return examples
+    return [dataclasses.replace(ex, patches=patchify(
+        spec_augment(ex.logmel, policy, [seed, epoch, i]), cfg.frames_per_patch).patches)
+        for i, ex in enumerate(examples)]

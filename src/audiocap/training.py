@@ -9,6 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .audio import LogMelSpectrogram
 from .autodiff import NumericError, Tensor
 from .model import CaptionerModel
 from .optim import Adam
@@ -37,6 +38,8 @@ class TrainConfig:
         # NaN fails both comparisons; json.loads accepts NaN and Infinity
         if not 0.0 < self.base_lr < math.inf:
             raise ValueError("base_lr must be positive and finite")
+        if self.warmup_epochs < 0:
+            raise ValueError("warmup_epochs must be >= 0")
         if self.decay_every < 1:
             raise ValueError("decay_every must be >= 1")
         if not 0.0 < self.decay_factor < math.inf:
@@ -122,12 +125,14 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
 class CaptionExample:
     patches: np.ndarray  # (N, patch_dim)
     tokens: list[int]    # <sos> ... <eos>
+    logmel: LogMelSpectrogram | None = None  # what SpecAugment re-masks
 
 
 @dataclass
 class TaggingExample:
     patches: np.ndarray
     labels: np.ndarray   # (K_tags,) binary
+    logmel: LogMelSpectrogram | None = None
 
 
 def caption_batch_loss(model: CaptionerModel, batch: Sequence[CaptionExample],

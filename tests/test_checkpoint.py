@@ -231,6 +231,8 @@ def test_well_formed_raw_checkpoint_loads(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("kind", 3), ("config", []), ("vocab", [["a"]]), ("tags", "tone"),
     ("epoch", "4"), ("optimizer_step", 1.5), ("epoch", True),
+    # a negative step count makes Adam's bias corrections negative
+    ("epoch", -1), ("optimizer_step", -3),
 ])
 def test_header_field_of_wrong_type_rejected(tmp_path, field, value):
     path = tmp_path / "model.bin"

@@ -237,6 +237,15 @@ def test_invalid_json_maps_to_exit_3(tmp_path, corpus, capsys):
     ({"frontend": {"frames_per_patch": 0}}, "frontend: frames_per_patch"),
     ({"frontend": {"log_floor": 0}}, "frontend: log_floor"),
     ({"frontend": {"log_floor": -1e-10}}, "frontend: log_floor"),
+    ({"word2vec": {"window": 0}}, "word2vec.window must be >= 1"),
+    ({"word2vec": {"negatives": -1}}, "word2vec.negatives must be >= 1"),
+    ({"word2vec": {"epochs": 0}}, "word2vec.epochs must be >= 1"),
+    ({"word2vec": {"lr": float("nan")}}, "word2vec.lr must be positive"),
+    ({"word2vec": {"lr": float("inf")}}, "word2vec.lr must be positive"),
+    ({"word2vec": {"lr": -1.0}}, "word2vec.lr must be positive"),
+    ({"word2vec": {"lr": 0}}, "word2vec.lr must be positive"),
+    ({"train": {"warmup_epochs": -3}}, "warmup_epochs must be >= 0"),
+    ({"min_count": 0}, "min_count must be >= 1"),
 ])
 def test_wrong_value_type_rejected(data, key):
     with pytest.raises(ValidationError, match=key):
@@ -456,6 +465,9 @@ def test_eval_accepts_spice_at_the_interval_ends(tmp_path, corpus, value):
     ('{"id": 1, "wav": "x.wav"}', "string id"),
     ('{"id": "a", "wav": 3}', "wav must be a path string"),
     ('{"id": "a", "events": [], "synth_seed": "s"}', "synth_seed"),
+    # unseeded, its noise would differ on every read
+    ('{"id": "a", "events": [{"kind": "noise", "onset": 0, "duration": 1}]}',
+     "needs an integer synth_seed"),
 ])
 def test_malformed_manifest_record_exits_3_with_line(tmp_path, capsys, line, complaint):
     manifest = tmp_path / "m.jsonl"
@@ -745,7 +757,7 @@ def test_resume_restores_optimizer_moments(tmp_path, corpus, capsys, monkeypatch
 
     # a checkpoint without one of the moments is a validation error
     dropped = f"v.{names[id(optimizer.params[0])]}"
-    del saved.optimizer[dropped]
+    kept = saved.optimizer.pop(dropped)
     broken = tmp_path / "broken"
     broken.mkdir()
     save_checkpoint(broken / "ckpt_epoch_0002.bin", saved)
@@ -753,6 +765,19 @@ def test_resume_restores_optimizer_moments(tmp_path, corpus, capsys, monkeypatch
                  "--out", str(broken), "--resume"])
     assert code == 3
     assert dropped in capsys.readouterr().err
+
+    # so is a moment of another shape than its parameter, which numpy would
+    # broadcast into the moment
+    saved.optimizer[dropped] = kept
+    reshaped = "m.dec.out_proj.w"
+    assert saved.optimizer[reshaped].ndim == 2
+    saved.optimizer[reshaped] = np.ones(1)
+    save_checkpoint(broken / "ckpt_epoch_0002.bin", saved)
+    code = main(["train", "--manifest", str(corpus / "captions.jsonl"),
+                 "--out", str(broken), "--resume"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert reshaped in err and "has (1,)" in err, err
 
 
 def test_caption_on_truncated_checkpoint_exits_3(tmp_path, corpus, capsys):
@@ -849,6 +874,24 @@ def test_bad_lr_schedule_exit_3_before_any_log_mel(tmp_path, corpus, capsys, mon
     assert main(["train", "--config", str(cfg), "--manifest", str(corpus / "captions.jsonl"),
                  "--out", str(tmp_path / "run")]) == 3
     assert "decay_every must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, complaint", [
+    ({"word2vec.lr": float("nan")}, "word2vec.lr must be positive and finite"),
+    ({"word2vec.window": 0}, "word2vec.window must be >= 1"),
+])
+def test_bad_word2vec_exit_3_before_any_log_mel(tmp_path, corpus, capsys, monkeypatch,
+                                                overrides, complaint):
+    # train_skipgram checks the window only after every clip's log-mel, and
+    # no rate at all
+    def no_log_mel(*args):
+        raise AssertionError("compute_log_mel ran")
+
+    monkeypatch.setattr(data, "compute_log_mel", no_log_mel)
+    cfg = write_config(tmp_path, overrides)
+    assert main(["train", "--config", str(cfg), "--manifest", str(corpus / "captions.jsonl"),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert complaint in capsys.readouterr().err
 
 
 def test_too_many_patches_exit_3_before_any_log_mel(tmp_path, corpus, capsys, monkeypatch):

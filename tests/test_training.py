@@ -7,7 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from audiocap import autodiff as ad
+from audiocap.audio import (FrontendConfig, LogMelSpectrogram, SpecAugmentPolicy,
+                            patchify, spec_augment)
 from audiocap.autodiff import NumericError, Tensor
+from audiocap.data import training_examples
 from audiocap.model import CaptionerModel, DecoderConfig, EncoderConfig
 from audiocap.optim import Adam
 from audiocap.text import EOS, PAD, SOS
@@ -418,6 +421,55 @@ def test_bce_loss_decreases_during_pretraining():
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
+def logmel_examples(frontend):
+    """Two caption and two tagging examples built as `train` builds them:
+    the patches are a view of the log-mel each example carries."""
+    rng = np.random.default_rng(8)
+    specs = [LogMelSpectrogram(frames=rng.normal(size=(13, frontend.mel_bins)),
+                               frame_hop=frontend.hop, mel_bins=frontend.mel_bins)
+             for _ in range(4)]
+    fpp = frontend.frames_per_patch
+    return ([CaptionExample(patchify(s, fpp).patches, [SOS, 5 + i, EOS], s)
+             for i, s in enumerate(specs[:2])],
+            [TaggingExample(patchify(s, fpp).patches, np.eye(3)[i], s)
+             for i, s in enumerate(specs[2:])])
+
+
+@pytest.mark.parametrize("policy", [
+    SpecAugmentPolicy(),
+    SpecAugmentPolicy(time_mask_width_max=0, freq_mask_width_max=0, num_time_masks=2),
+    SpecAugmentPolicy(time_mask_width_max=3, num_freq_masks=2),
+])
+def test_training_examples_identity_policy_returns_the_list(policy):
+    frontend = FrontendConfig(mel_bins=4, frames_per_patch=4)
+    for examples in logmel_examples(frontend):
+        assert training_examples(examples, frontend, policy, 3, 2) is examples
+
+
+def test_training_examples_remask_each_log_mel_per_epoch():
+    frontend = FrontendConfig(mel_bins=4, frames_per_patch=4)
+    policy = SpecAugmentPolicy(time_mask_width_max=3, freq_mask_width_max=2,
+                               num_time_masks=1, num_freq_masks=1, mask_value=-50.0)
+    seed, epoch = 5, 2
+    for examples in logmel_examples(frontend):
+        before = [ex.patches.copy() for ex in examples]
+        out = training_examples(examples, frontend, policy, seed, epoch)
+        assert len(out) == len(examples)
+        for i, (ex, new) in enumerate(zip(examples, out)):
+            masked = spec_augment(ex.logmel, policy, [seed, epoch, i])
+            np.testing.assert_array_equal(
+                new.patches, patchify(masked, frontend.frames_per_patch).patches)
+            assert new.logmel is ex.logmel
+            if isinstance(ex, CaptionExample):
+                assert new.tokens == ex.tokens
+            else:
+                np.testing.assert_array_equal(new.labels, ex.labels)
+            np.testing.assert_array_equal(ex.patches, before[i])  # not masked in place
+        assert any((new.patches == -50.0).any() for new in out)
+        later = training_examples(examples, frontend, policy, seed, epoch + 1)
+        assert any(not np.array_equal(a.patches, b.patches) for a, b in zip(out, later))
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
@@ -425,7 +477,8 @@ def test_train_config_validation():
     for bad in (dict(base_lr=0.0), dict(base_lr=math.nan), dict(base_lr=math.inf),
                 dict(decay_every=0), dict(decay_every=-1), dict(decay_factor=0.0),
                 dict(decay_factor=-0.5), dict(decay_factor=math.nan),
-                dict(decay_factor=math.inf)):
+                dict(decay_factor=math.inf), dict(warmup_epochs=-1),
+                dict(warmup_epochs=-3)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             TrainConfig(**bad)
     with pytest.raises(ValueError):
