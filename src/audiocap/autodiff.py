@@ -528,8 +528,8 @@ def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
 
 def embedding(weight, ids: np.ndarray) -> Tensor:
     """Row lookup: weight (V, d), ids int array of any shape -> (*ids, d).
-    Under no_grad a stacked table (K, V, d) serves ids (K, ...): batch row k
-    reads table k."""
+    Under no_grad a stacked table (K, V, d) serves ids (K, ...), batch row k
+    reading table k, or ids (1, ...), read from every table."""
     weight = _as_tensor(weight)
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[-2]):
@@ -537,9 +537,9 @@ def embedding(weight, ids: np.ndarray) -> Tensor:
     if weight.ndim == 3:
         if _grad_mode.enabled and weight.requires_grad:
             raise ValueError("a stacked embedding table is looked up only under no_grad")
-        if ids.shape[:1] != weight.shape[:1]:
+        if ids.shape[:1] not in ((1,), weight.shape[:1]):
             raise ValueError(f"ids {ids.shape} do not match stacked table {weight.shape}")
-        rows = np.arange(ids.shape[0]).reshape((-1,) + (1,) * (ids.ndim - 1))
+        rows = np.arange(weight.shape[0]).reshape((-1,) + (1,) * (ids.ndim - 1))
         return Tensor(weight.data[rows, ids])
 
     table_shape = weight.shape
@@ -554,10 +554,14 @@ def embedding(weight, ids: np.ndarray) -> Tensor:
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then affine with gamma/beta. One node
-    with a closed-form backward."""
+    with a closed-form backward. Under no_grad a stacked gamma or beta
+    (K, 1, d) serves x (K, T, d) or (1, T, d): batch row k uses copy k."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.shape[-1] == 0:
         raise ValueError("layer_norm over an empty last axis")
+    stacked = gamma.ndim > 1 or beta.ndim > 1
+    if stacked and _grad_mode.enabled and any(t.requires_grad for t in (x, gamma, beta)):
+        raise ValueError("a stacked layer_norm gain or shift is used only under no_grad")
     n = x.shape[-1]
     gamma_data, gamma_shape, beta_shape = gamma.data, gamma.shape, beta.shape
     xhat = x.data - x.data.sum(axis=-1, keepdims=True) / n
@@ -574,6 +578,8 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         gx *= inv
         return gx
 
+    if stacked:  # the output takes the stacked rows; no graph to record
+        return Tensor(xhat * gamma_data + beta.data)
     np.multiply(xhat, gamma_data, out=out)
     out += beta.data
     return _make(out, (x, x_rule),

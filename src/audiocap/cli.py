@@ -31,7 +31,7 @@ from .decoding import beam_search_clips
 from .metrics import evaluate_captions
 from .model import CaptionerModel
 from .optim import Adam
-from .synth import MAX_EVENTS, corpus_clip
+from .synth import MAX_EVENTS, corpus_clip, render_scratch
 from .text import (Vocabulary, build_vocabulary, decode as decode_tokens,
                    encode as encode_tokens, save_vocabulary, tokenize_caption)
 from .training import (CaptionExample, EpochStats, pretrain_tagging, train_captioner,
@@ -59,14 +59,15 @@ def cmd_synth_data(args) -> int:
                               f"at most {MAX_EVENTS} events")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # one clip at a time, through two clip-sized buffers reused for every
-    # clip: memory does not grow with --count, and freed clip arrays are not
+    # one clip at a time, through clip-sized buffers reused for every clip
+    # and event: memory does not grow with --count, and freed arrays are not
     # handed back to the OS only to be page-faulted in for the next clip
     samples = np.empty(CLIP_SAMPLES)
     pcm = np.empty(CLIP_SAMPLES, dtype="<i2")
+    scratch = render_scratch()
     caption_recs, tag_recs = [], []
     for i in range(args.count):
-        rec = corpus_clip(i, args.seed, args.max_events, samples)
+        rec = corpus_clip(i, args.seed, args.max_events, samples, scratch)
         wav_name = f"{rec.clip_id}.wav"
         write_wav(out_dir / wav_name, pcm16(samples, pcm))
         caption_recs.append(ManifestRecord(

@@ -1,19 +1,17 @@
 """Whole-model gradient verification against central finite differences.
 
 One forward and backward pass gives every analytic gradient. The numeric
-side probes up to CHUNK scalars of one parameter tensor per no-grad forward
-pass, both sides at once: the tensor is stacked on a new leading axis of
-2k copies, `(2k, *shape)` for a matrix (a matmul weight, the class token,
-positions, word embeddings) and `(2k, 1, size)` for a vector (a bias, a
-norm gain/shift). Copy j carries +h at scalar j and copy k + j carries -h
-there. The stage inputs are repeated 2k times, so batch row j sees copy j,
-and the 2k losses are read off the rows.
-
-A pass starts at the first stage that reads the probed tensor: patch
-embedding, encoder layer i, the encoder's final norm, or the heads (bridge,
-decoder and tag head, from the encoded rows). One unperturbed pass of one
-row keeps every stage's input first; the stages before the start would
-compute that same input in every row.
+side lays every parameter scalar end to end in `named_parameters` order and
+probes them CHUNK at a time, whatever tensor they belong to, both sides in
+one no-grad forward pass. Every tensor a chunk of k scalars touches is
+stacked on a new leading axis of 2k copies, `(2k, *shape)` for a matrix (a
+matmul weight, the class token, positions, word embeddings) and
+`(2k, 1, size)` for a vector (a bias, a norm gain/shift). Copy j carries +h
+at the chunk's scalar j, if it is the tensor's, and copy k + j carries -h
+there. The pass starts from the one clip: its batch axis stays 1 until the
+first op that reads a stacked tensor, and from there broadcasting carries
+the 2k rows, so the layers before the probed tensors run once. The 2k
+losses are read off the rows.
 """
 
 from __future__ import annotations
@@ -68,67 +66,31 @@ class Objective:
         self.inputs = tokens[None, :-1]
         self.targets = tokens[None, 1:]
         self.labels = labels            # (1, K_tags)
-        self.stage_inputs: list[np.ndarray] = []  # see keep_stage_inputs
 
-    def _logits(self, rows: int, start: int) -> tuple[ad.Tensor, ad.Tensor]:
+    def _logits(self) -> tuple[ad.Tensor, ad.Tensor]:
         m = self.model
-        if start == 0:
-            encoded = m.encode(m.embed_patches(np.repeat(self.patches, rows, axis=0)))
-        else:
-            encoded = ad.Tensor(np.repeat(self.stage_inputs[start], rows, axis=0))
-            for layer in m.enc_layers[start - 1:]:
-                encoded = layer(encoded, False, None)
-            if start <= len(m.enc_layers) + 1:  # not yet the heads
-                encoded = m.enc_final_ln(encoded)
-        logits = m.decode(np.repeat(self.inputs, rows, axis=0),
-                          m.encoder_memory(encoded))
+        encoded = m.encode(m.embed_patches(self.patches))
+        logits = m.decode(self.inputs, m.encoder_memory(encoded))
         return logits, m.tagging_logits(encoded)
 
     def loss(self) -> ad.Tensor:
-        logits, tag_logits = self._logits(1, 0)
+        logits, tag_logits = self._logits()
         ce = label_smoothed_ce(logits, self.targets, smoothing=SMOOTHING)
         return ad.add(ce, bce_with_logits(tag_logits, self.labels))
 
-    def stage_of(self, p: ad.Tensor) -> int:
-        """The first stage that reads parameter `p`: 0 patch embedding (the
-        class token and positions included), 1 + i encoder layer i, then the
-        encoder's final norm, then the heads (bridge, decoder, tag head)."""
-        m = self.model
-        if p is m.cls_token or p is m.pos_embed:
-            return 0
-        modules = [m.patch_embed, *m.enc_layers, m.enc_final_ln]
-        for stage, module in enumerate(modules):
-            if any(t is p for _, t in module.named_params("")):
-                return stage
-        return len(modules)
-
-    def keep_stage_inputs(self) -> None:
-        """One unperturbed no-grad pass of one row keeps the input of every
-        stage (see `stage_of`) for `row_losses` to start from."""
-        m = self.model
+    def row_losses(self, rows: int) -> np.ndarray:
+        """Losses (rows,) of one no-grad forward of the clip. A parameter
+        stacked on a leading axis of length `rows` gives each row its own
+        copy; the rows branch off at the first op that reads one, and a pass
+        with none stacked gives one loss for every row. Each row sums its
+        `caption_terms` and averages its `tagging_terms` as `loss()` does,
+        so at equal parameters the values equal `loss()` bit for bit."""
         with ad.no_grad():
-            x = m.embed_patches(self.patches)
-            inputs = [self.patches]
-            for layer in m.enc_layers:
-                inputs.append(x.data)
-                x = layer(x, False, None)
-            inputs.append(x.data)
-            inputs.append(m.enc_final_ln(x).data)
-        self.stage_inputs = inputs
-
-    def row_losses(self, rows: int, start: int) -> np.ndarray:
-        """Losses (rows,) of `rows` copies of the clip in one no-grad forward
-        from stage `start`, whose kept input (`keep_stage_inputs`) is
-        repeated `rows` times; stage 0 runs the whole model. A parameter of
-        that stage or a later one stacked on a leading axis of length `rows`
-        gives each row its own copy. Each row sums its `caption_terms` and
-        averages its `tagging_terms` as `loss()` does, so at equal parameters
-        the values equal `loss()` bit for bit."""
-        with ad.no_grad():
-            logits, tag_logits = self._logits(rows, start)
+            logits, tag_logits = self._logits()
             ce, valid = caption_terms(logits, self.targets, SMOOTHING)
             bce = tagging_terms(tag_logits, self.labels)
-        return ce.data.sum(axis=-1) * (-1.0 / valid.sum()) - bce.data.mean(axis=-1)
+        losses = ce.data.sum(axis=-1) * (-1.0 / valid.sum()) - bce.data.mean(axis=-1)
+        return np.broadcast_to(losses, (rows,))
 
 
 def make_objective(seed, enc: EncoderConfig, dec: DecoderConfig) -> Objective:
@@ -151,32 +113,39 @@ def make_objective(seed, enc: EncoderConfig, dec: DecoderConfig) -> Objective:
     return Objective(model, patches, tokens, labels)
 
 
-def _central_differences(objective: Objective, p: ad.Tensor,
-                         h: float) -> np.ndarray:
+def _central_differences(objective: Objective, h: float) -> list[np.ndarray]:
     """(loss(theta + h e_i) - loss(theta - h e_i)) / 2h for every scalar i of
-    `p`: one forward pass of 2k rows per chunk of k <= CHUNK scalars, rows
-    0..k-1 at +h and rows k..2k-1 at -h, from the first stage that reads
-    `p`. Needs `objective.keep_stage_inputs()` first."""
-    orig = p.data
-    flat = orig.reshape(-1)
-    start = objective.stage_of(p)
-    central = np.empty(flat.size)
-    try:
-        for first in range(0, flat.size, CHUNK):
-            idx = np.arange(first, min(first + CHUNK, flat.size))
-            k = idx.size
-            shape = (2 * k, *orig.shape) if orig.ndim == 2 else (2 * k, 1, orig.size)
-            stacked = np.repeat(flat[None], 2 * k, axis=0)
-            stacked[np.arange(k), idx] = flat[idx] + h
-            stacked[np.arange(k, 2 * k), idx] = flat[idx] - h
-            p.data = stacked.reshape(shape)
-            losses = objective.row_losses(2 * k, start)
-            if not np.all(np.isfinite(losses)):
-                raise NumericError("non-finite loss during finite differences")
-            central[idx] = (losses[:k] - losses[k:]) / (2.0 * h)
-    finally:
-        p.data = orig
-    return central
+    the model, one array per tensor. The tensors' scalars are laid end to
+    end in `named_parameters` order, and each chunk of k <= CHUNK of them
+    takes one forward pass of 2k rows, rows 0..k-1 at +h and rows k..2k-1
+    at -h, with every tensor the chunk touches stacked."""
+    params = objective.model.parameters()
+    origs = [p.data for p in params]
+    ends = np.cumsum([orig.size for orig in origs])
+    central = np.empty(int(ends[-1]))
+    for first in range(0, central.size, CHUNK):
+        last = min(first + CHUNK, central.size)
+        k = last - first
+        try:
+            for p, orig, end in zip(params, origs, ends):
+                start = end - orig.size
+                if end <= first or start >= last:
+                    continue
+                idx = np.arange(max(first, start), min(last, end))
+                rows, idx = idx - first, idx - start
+                shape = (2 * k, *orig.shape) if orig.ndim == 2 else (2 * k, 1, orig.size)
+                stacked = np.repeat(orig.reshape(1, -1), 2 * k, axis=0)
+                stacked[rows, idx] += h
+                stacked[rows + k, idx] -= h
+                p.data = stacked.reshape(shape)
+            losses = objective.row_losses(2 * k)
+        finally:
+            for p, orig in zip(params, origs):
+                p.data = orig
+        if not np.all(np.isfinite(losses)):
+            raise NumericError("non-finite loss during finite differences")
+        central[first:last] = (losses[:k] - losses[k:]) / (2.0 * h)
+    return np.split(central, ends[:-1])
 
 
 def check_objective(objective: Objective, h: float = 1e-4) -> GradCheckReport:
@@ -187,16 +156,14 @@ def check_objective(objective: Objective, h: float = 1e-4) -> GradCheckReport:
     model = objective.model
     model.zero_grad()
     ad.backward(objective.loss())
-    objective.keep_stage_inputs()
+    # a tensor the loss does not reach has no grad: its gradient is 0
+    analytic = {name: np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1)
+                for name, p in model.named_parameters()}
+    if not all(np.all(np.isfinite(a)) for a in analytic.values()):
+        raise NumericError("non-finite analytic gradient")
     per_param = {}
-    for name, p in model.named_parameters():
-        # a tensor the loss does not reach has no grad: its gradient is 0
-        analytic = np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1)
-        if not np.all(np.isfinite(analytic)):
-            raise NumericError("non-finite analytic gradient")
-        central = _central_differences(objective, p, h)
-        err = np.abs(analytic - central) / np.maximum(
-            1e-12, np.abs(analytic) + np.abs(central))
+    for (name, a), c in zip(analytic.items(), _central_differences(objective, h)):
+        err = np.abs(a - c) / np.maximum(1e-12, np.abs(a) + np.abs(c))
         per_param[name] = float(err.max())
     return GradCheckReport(max_error=max(per_param.values()), per_param=per_param)
 

@@ -26,6 +26,18 @@ from .autodiff import Tensor
 INIT_STD = 0.02
 
 
+def _check_sizes(cfg, section: str, sizes: tuple[str, ...]) -> None:
+    """Each of `sizes` at least 1, `layers` at least 0, `d` split evenly over
+    the heads and dropout in [0, 1), or a ValueError naming the key."""
+    for key, least in [*((key, 1) for key in sizes), ("layers", 0)]:
+        if getattr(cfg, key) < least:
+            raise ValueError(f"{section}.{key} must be >= {least}, got {getattr(cfg, key)}")
+    if cfg.d % cfg.heads:
+        raise ValueError(f"{section} dim {cfg.d} not divisible by {cfg.heads} heads")
+    if not 0.0 <= cfg.dropout < 1.0:
+        raise ValueError(f"{section}.dropout must be in [0, 1)")
+
+
 @dataclass
 class EncoderConfig:
     d: int = 128
@@ -37,10 +49,7 @@ class EncoderConfig:
     max_patches: int = 160
 
     def __post_init__(self):
-        if self.d % self.heads:
-            raise ValueError(f"encoder dim {self.d} not divisible by {self.heads} heads")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+        _check_sizes(self, "encoder", ("d", "heads", "ffn_dim", "patch_dim", "max_patches"))
 
 
 @dataclass
@@ -53,10 +62,7 @@ class DecoderConfig:
     dropout: float = 0.2
 
     def __post_init__(self):
-        if self.d % self.heads:
-            raise ValueError(f"decoder dim {self.d} not divisible by {self.heads} heads")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+        _check_sizes(self, "decoder", ("d", "heads", "ffn_dim"))
 
 
 def _param(rng: np.random.Generator | None, shape: tuple[int, ...],
@@ -132,11 +138,11 @@ class MultiHeadAttention(Module):
                  slots: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
         """Queries projected from `xq` (B, Tq, d) attend over the head-split
         keys and values `kv` (see `keys_values`; B, h, Tk, d_k, a batch axis
-        of 1 broadcasts over xq's) -> (B, Tq, d). With `slots` = (group,
+        of 1 on either side broadcasts) -> (B, Tq, d). With `slots` = (group,
         place), no-grad and Tq = 1, row r of xq is query `place[r]` of group
         `group[r]` of kv (G, h, Tk, d_k): each group's queries, padded with
         zero rows to the largest group, attend together over that group."""
-        b, tq, _ = xq.shape
+        tq = xq.shape[1]
         k, v = kv
         if mask is not None and mask.shape != (tq, k.shape[2]):
             raise ValueError(f"mask shape {mask.shape} does not match ({tq}, {k.shape[2]})")
@@ -151,7 +157,7 @@ class MultiHeadAttention(Module):
             out = ad.attention(Tensor(padded), k, v, scale).data
             mixed = Tensor(out[group, :, place][:, :, None])
         mixed = ad.transpose(mixed, (0, 2, 1, 3))
-        return self.wo(ad.reshape(mixed, (b, tq, self.d)))
+        return self.wo(ad.reshape(mixed, (mixed.shape[0], tq, self.d)))
 
 
 class FeedForward(Module):
@@ -345,17 +351,20 @@ class CaptionerModel:
     # ----- forward passes -----------------------------------------------
     def embed_patches(self, patches: np.ndarray) -> Tensor:
         """(B, N, patch_dim) -> (B, N+1, d): project, prepend class token,
-        add trainable positions. A class token stacked to (B, 1, d) and
-        positions stacked to (B, P, d) give batch row k its own copy k."""
+        add trainable positions. Under no_grad a class token, positions or
+        projection stacked to K copies give batch row k copy k, from B = 1."""
         patches = np.asarray(patches, dtype=np.float64)
-        b, n, pd = patches.shape
+        _, n, pd = patches.shape
         if pd != self.enc_cfg.patch_dim:
             raise ValueError(f"patch dim {pd} does not match config {self.enc_cfg.patch_dim}")
         if n > self.enc_cfg.max_patches:
             raise ValueError(f"{n} patches exceed max_patches {self.enc_cfg.max_patches}")
         proj = self.patch_embed(Tensor(patches))  # (B, N, d)
-        cls_rows = ad.add(Tensor(np.zeros((b, 1, self.enc_cfg.d))),
-                          ad.reshape(self.cls_token, (-1, 1, self.enc_cfg.d)))
+        cls_rows = ad.reshape(self.cls_token, (-1, 1, self.enc_cfg.d))
+        b = max(proj.shape[0], cls_rows.shape[0])
+        cls_rows = ad.add(Tensor(np.zeros((b, 1, self.enc_cfg.d))), cls_rows)
+        if proj.shape[0] < b:  # a stacked class token, under no_grad
+            proj = Tensor(np.broadcast_to(proj.data, (b, n, self.enc_cfg.d)))
         x = ad.concat([cls_rows, proj], axis=1)
         return ad.add(x, self.pos_embed[..., : n + 1, :])
 
@@ -412,9 +421,9 @@ class CaptionerModel:
 
     def tagging_logits(self, encoded: Tensor) -> Tensor:
         """Pre-sigmoid tag scores (B, K_tags) from the class-token row. A tag
-        head stacked to (B, d, K_tags) and (B, 1, K_tags) gives batch row k
-        its own head k."""
-        return ad.reshape(self.tag_head(encoded[:, :1, :]), (encoded.shape[0], -1))
+        head stacked to (K, d, K_tags) and (K, 1, K_tags) gives row k head k."""
+        scores = self.tag_head(encoded[:, :1, :])
+        return ad.reshape(scores, (scores.shape[0], -1))
 
     def tagging_probabilities(self, encoded: Tensor) -> Tensor:
         return ad.sigmoid(self.tagging_logits(encoded))

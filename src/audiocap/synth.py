@@ -85,18 +85,23 @@ def event_phrase(e: Event) -> str:
     raise ValueError(f"unknown event kind {e.kind!r}")
 
 
-def _event_samples(e: Event, rng: np.random.Generator) -> np.ndarray:
-    """The event's samples, computed in place in one array (a chirp needs a
-    second one for its t² term). The ufuncs run in the order that the
-    formula in each comment evaluates them, so the bytes equal the
-    formula's."""
+def _event_samples(e: Event, rng: np.random.Generator, scratch) -> np.ndarray:
+    """The event's samples, computed in place in `scratch[0]` (a tone or a
+    chirp uses `scratch[1]` too; see `render_scratch`), a view of which is
+    returned. The ufuncs run in the order that the formula in each comment
+    evaluates them, so the bytes equal the formula's."""
     n = int(round(e.duration * SAMPLE_RATE))
+    seg = scratch[0][:n]
     if e.kind == "noise":
-        seg = rng.standard_normal(n)  # amplitude * N(0, 1) draws
+        rng.standard_normal(out=seg)  # amplitude * N(0, 1) draws
         seg *= e.amplitude if e.amplitude is not None else 0.3
     elif e.kind in ("tone", "chirp"):
-        seg = np.arange(n, dtype=np.float64)
-        seg /= SAMPLE_RATE  # t
+        # t = arange(n) / SAMPLE_RATE, exactly: a running sum of ones counts
+        ones = scratch[1][:n]
+        ones.fill(1.0)
+        np.cumsum(ones, out=seg)
+        seg -= 1.0
+        seg /= SAMPLE_RATE
         if e.kind == "tone":
             # amplitude * sin(2*pi*freq * t)
             seg *= 2 * np.pi * (e.freq or 440.0)
@@ -104,7 +109,7 @@ def _event_samples(e: Event, rng: np.random.Generator) -> np.ndarray:
             f0 = e.freq or 300.0
             f1 = e.freq_end or 3.0 * f0
             # linear sweep: amplitude * sin(2*pi*(f0*t + (f1-f0)/(2*dur) * t*t))
-            sweep = (f1 - f0) / (2 * e.duration) * seg
+            sweep = np.multiply((f1 - f0) / (2 * e.duration), seg, out=ones)
             sweep *= seg
             seg *= f0
             seg += sweep
@@ -121,9 +126,16 @@ def _event_samples(e: Event, rng: np.random.Generator) -> np.ndarray:
     return seg
 
 
-def render_clip(events: Sequence[Event], seed, out: np.ndarray) -> tuple[str, set[str]]:
+def render_scratch(n: int = CLIP_SAMPLES) -> tuple[np.ndarray, np.ndarray]:
+    """Two buffers of n samples, n >= the longest event's, for `render_clip`
+    to reuse across clips; two, as numpy gives one of 4 MiB or more huge pages."""
+    return np.empty(n), np.empty(n)
+
+
+def render_clip(events: Sequence[Event], seed, out: np.ndarray,
+                scratch) -> tuple[str, set[str]]:
     """Render events into `out`, a float64 buffer of CLIP_SAMPLES that is
-    overwritten; returns (caption, tags).
+    overwritten, through `render_scratch`'s buffers; returns (caption, tags).
 
     Caption phrases follow event onset order, joined with alternating
     "followed by" / "then". Deterministic for a given seed.
@@ -150,7 +162,7 @@ def render_clip(events: Sequence[Event], seed, out: np.ndarray) -> tuple[str, se
 
     out.fill(0.0)
     for e in ordered:
-        seg = _event_samples(e, rng)
+        seg = _event_samples(e, rng, scratch)
         start = int(round(e.onset * SAMPLE_RATE))
         out[start:start + len(seg)] += seg
     np.clip(out, -1.0, 1.0, out=out)
@@ -162,7 +174,8 @@ def render_clip(events: Sequence[Event], seed, out: np.ndarray) -> tuple[str, se
 def synthesize_event_clip(events: Sequence[Event], seed) -> tuple[Waveform, str, set[str]]:
     """Render events into a fresh 10 s clip; returns (waveform, caption, tags)."""
     samples = np.empty(CLIP_SAMPLES)
-    caption, tags = render_clip(events, seed, samples)
+    longest = max([int(round(e.duration * SAMPLE_RATE)) for e in events] + [0])
+    caption, tags = render_clip(events, seed, samples, render_scratch(longest))
     return Waveform(samples=samples), caption, tags
 
 
@@ -201,13 +214,13 @@ def random_events(rng: np.random.Generator, max_events: int = 2) -> list[Event]:
     return events
 
 
-def corpus_clip(i: int, seed, max_events: int, out: np.ndarray) -> ClipRecord:
-    """Clip `i` of the corpus for `seed`, rendered into `out` (see
-    `render_clip`); the record's waveform is `out` itself."""
+def corpus_clip(i: int, seed, max_events: int, out: np.ndarray, scratch) -> ClipRecord:
+    """Clip `i` of the corpus for `seed`, rendered into `out` through
+    `scratch` (see `render_clip`); the record's waveform is `out` itself."""
     clip_seed = [seed, i] if np.isscalar(seed) else list(seed) + [i]
     rng = np.random.default_rng(clip_seed)
     events = random_events(rng, max_events=max_events)
-    caption, tags = render_clip(events, clip_seed, out)
+    caption, tags = render_clip(events, clip_seed, out, scratch)
     return ClipRecord(clip_id=f"clip{i:04d}", events=events, caption=caption,
                       tags=sorted(tags), waveform=Waveform(samples=out))
 
@@ -218,4 +231,6 @@ def make_corpus(count: int, seed, max_events: int = 2) -> list[ClipRecord]:
     time into one reused buffer instead."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return [corpus_clip(i, seed, max_events, np.empty(CLIP_SAMPLES)) for i in range(count)]
+    scratch = render_scratch()
+    return [corpus_clip(i, seed, max_events, np.empty(CLIP_SAMPLES), scratch)
+            for i in range(count)]

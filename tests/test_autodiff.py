@@ -96,6 +96,37 @@ def test_layer_norm_empty_axis_rejected():
                       Tensor(np.zeros(0)), 1e-5)
 
 
+@pytest.mark.parametrize("stack", ["gamma", "beta", "both"])
+def test_stacked_layer_norm_from_one_row_equals_repeated_rows(stack):
+    # a (1, T, d) input against a (K, 1, d) gain or shift gives the bytes of
+    # the input repeated K times, and row k those of copy k alone
+    x = rand((1, 3, 5), 1)
+    gamma = rand((4, 1, 5), 2) if stack != "beta" else rand((5,), 2)
+    beta = rand((4, 1, 5), 3) if stack != "gamma" else rand((5,), 3)
+    with ad.no_grad():
+        broadcast = ad.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        repeated = ad.layer_norm(Tensor(np.repeat(x, 4, axis=0)), Tensor(gamma),
+                                 Tensor(beta)).data
+        for k in range(4):
+            one = ad.layer_norm(Tensor(x), Tensor(gamma[k, 0] if gamma.ndim == 3 else gamma),
+                                Tensor(beta[k, 0] if beta.ndim == 3 else beta)).data
+            assert broadcast[k:k + 1].tobytes() == one.tobytes()
+    assert broadcast.shape == (4, 3, 5)
+    assert broadcast.tobytes() == repeated.tobytes()
+
+
+def test_stacked_layer_norm_rejected_under_grad():
+    x, gamma, beta = rand((2, 3, 4), 1), rand((4,), 2), rand((4,), 3)
+    stacked = rand((2, 1, 4), 4)
+    for args in ((x, Tensor(stacked, requires_grad=True), beta),
+                 (x, gamma, Tensor(stacked, requires_grad=True)),
+                 (Tensor(x, requires_grad=True), stacked, beta)):
+        with pytest.raises(ValueError, match="no_grad"):
+            ad.layer_norm(*args)
+        with ad.no_grad():
+            assert ad.layer_norm(*args).shape == (2, 3, 4)
+
+
 def composite_layer_norm(x, gamma, beta, eps):
     """layer_norm as nine primitive nodes, the reference for the fused op."""
     mu = ad.mean(x, axis=-1, keepdims=True)
@@ -837,6 +868,18 @@ def test_stacked_embedding_equals_separate_lookups():
             one = ad.embedding(Tensor(tables[k]), ids[k:k + 1]).data
             assert stacked[k:k + 1].tobytes() == one.tobytes()
     assert stacked.shape == (3, 3, 4)
+
+
+def test_stacked_embedding_from_one_row_of_ids_equals_repeated_ids():
+    # ids (1, T) against a (K, V, d) table read every table, as the ids
+    # repeated K times do
+    tables = rand((3, 5, 4))
+    ids = np.array([[0, 4, 2, 4]])
+    with ad.no_grad():
+        broadcast = ad.embedding(Tensor(tables), ids).data
+        repeated = ad.embedding(Tensor(tables), np.repeat(ids, 3, axis=0)).data
+    assert broadcast.shape == (3, 4, 4)
+    assert broadcast.tobytes() == repeated.tobytes()
 
 
 def test_stacked_embedding_rejects_misuse():

@@ -246,6 +246,17 @@ def test_invalid_json_maps_to_exit_3(tmp_path, corpus, capsys):
     ({"word2vec": {"lr": 0}}, "word2vec.lr must be positive"),
     ({"train": {"warmup_epochs": -3}}, "warmup_epochs must be >= 0"),
     ({"min_count": 0}, "min_count must be >= 1"),
+    ({"encoder": {"d": 0}}, "encoder.d must be >= 1"),
+    ({"encoder": {"heads": 0}}, "encoder.heads must be >= 1"),
+    ({"encoder": {"ffn_dim": 0}}, "encoder.ffn_dim must be >= 1"),
+    ({"encoder": {"patch_dim": 0}}, "encoder.patch_dim must be >= 1"),
+    ({"encoder": {"max_patches": 0}}, "encoder.max_patches must be >= 1"),
+    ({"encoder": {"layers": -1}}, "encoder.layers must be >= 0"),
+    ({"encoder": {"dropout": 1.0}}, "encoder.dropout must be in"),
+    ({"decoder": {"d": -4}}, "decoder.d must be >= 1"),
+    ({"decoder": {"heads": -2}}, "decoder.heads must be >= 1"),
+    ({"decoder": {"ffn_dim": -3}}, "decoder.ffn_dim must be >= 1"),
+    ({"decoder": {"layers": -2}}, "decoder.layers must be >= 0"),
 ])
 def test_wrong_value_type_rejected(data, key):
     with pytest.raises(ValidationError, match=key):
@@ -892,6 +903,28 @@ def test_bad_word2vec_exit_3_before_any_log_mel(tmp_path, corpus, capsys, monkey
     assert main(["train", "--config", str(cfg), "--manifest", str(corpus / "captions.jsonl"),
                  "--out", str(tmp_path / "run")]) == 3
     assert complaint in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, complaint", [
+    ({"encoder.layers": -1}, "encoder.layers must be >= 0"),
+    ({"decoder.layers": -2}, "decoder.layers must be >= 0"),
+    ({"encoder.d": 0}, "encoder.d must be >= 1"),
+    ({"encoder.heads": 0}, "encoder.heads must be >= 1"),
+    ({"decoder.ffn_dim": -3}, "decoder.ffn_dim must be >= 1"),
+])
+def test_bad_model_size_exit_3_before_any_log_mel(tmp_path, corpus, capsys, monkeypatch,
+                                                  overrides, complaint):
+    # negative layer counts trained and were stored; other bad sizes died
+    # inside numpy with a message that named no key
+    def no_log_mel(*args):
+        raise AssertionError("compute_log_mel ran")
+
+    monkeypatch.setattr(data, "compute_log_mel", no_log_mel)
+    cfg = write_config(tmp_path, overrides)
+    assert main(["train", "--config", str(cfg), "--manifest", str(corpus / "captions.jsonl"),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert complaint in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.bin").exists()
 
 
 def test_too_many_patches_exit_3_before_any_log_mel(tmp_path, corpus, capsys, monkeypatch):

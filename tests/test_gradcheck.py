@@ -10,7 +10,7 @@ from audiocap import autodiff
 from audiocap import gradcheck
 from audiocap.gradcheck import (CHUNK, DEFAULT_TOLERANCE, check_objective,
                                 make_objective)
-from audiocap.model import DecoderConfig, EncoderConfig, EncoderLayer
+from audiocap.model import CaptionerModel, DecoderConfig, EncoderConfig, EncoderLayer
 from audiocap.training import caption_terms, tagging_terms
 from finite_diff import finite_diff_check
 from test_cli import GRADCHECK_CONFIG
@@ -21,7 +21,7 @@ SMALL_ENC = EncoderConfig(d=8, heads=2, layers=1, ffn_dim=24, dropout=0.0,
                           patch_dim=8, max_patches=3)
 SMALL_DEC = DecoderConfig(vocab_size=7, d=6, heads=2, layers=1, ffn_dim=12,
                           dropout=0.0)
-# two encoder layers: a pass can start in the middle of the encoder
+# two encoder layers: rows can branch in the middle of the encoder
 TWO_LAYER_ENC = dataclasses.replace(SMALL_ENC, layers=2)
 
 
@@ -34,17 +34,18 @@ def test_every_parameter_scalar_probed_once_per_side():
     model = objective.model
     originals = {name: p.data.copy() for name, p in model.named_parameters()}
     probes = Counter()
-    passes = Counter()
+    passes = []
     row_losses = objective.row_losses
 
-    def recording_row_losses(rows, start):
+    def recording_row_losses(rows):
         k, odd = divmod(rows, 2)  # rows 0..k-1 at +h, rows k..2k-1 at -h
         assert not odd and 1 <= k <= CHUNK
         per_row = Counter()
+        scalar = {}
         stacked = []
         for name, p in model.named_parameters():
             shape = originals[name].shape
-            if p.data.shape == shape:  # a tensor not probed in this pass
+            if p.data.shape == shape:  # a tensor this pass does not probe
                 assert p.data.tobytes() == originals[name].tobytes()
                 continue
             # (rows, *shape) for a matrix, (rows, 1, size) for a vector
@@ -53,32 +54,40 @@ def test_every_parameter_scalar_probed_once_per_side():
             stacked.append(name)
             orig = originals[name].reshape(-1)
             data = p.data.reshape(rows, -1)
-            scalar = {}
             for row, i in zip(*np.nonzero(data != orig)):
                 per_row[row] += 1
-                scalar[row] = i
+                scalar[row] = name, int(i)
                 up = bool(data[row, i] > orig[i])
                 assert up == (row < k)
                 probes[name, int(i), up] += 1
-            # row j and row k + j probe the same scalar, one at each side
-            assert all(scalar[j] == scalar[k + j] for j in range(k))
-        assert len(stacked) == 1  # every tensor arrives stacked, one at a time
-        passes[stacked[0], k] += 1
+        # row j and row k + j probe the same scalar, one at each side
+        assert all(scalar[j] == scalar[k + j] for j in range(k))
         assert sorted(per_row) == list(range(rows))  # one probe in every row
         assert set(per_row.values()) == {1}
-        return row_losses(rows, start)
+        passes.append((k, stacked))
+        return row_losses(rows)
 
     objective.row_losses = recording_row_losses
     check_objective(objective)
-    # full chunks and a partial last chunk of one tensor both occur, each in
-    # one pass
-    assert passes["enc.layer0.ffn.fc1.w", CHUNK] == 1
-    assert passes["enc.layer0.ffn.fc1.w", 8 * 24 - CHUNK] == 1
+    # chunks run end to end over the tensors: full ones, then a partial last
+    count = model.param_count()
+    assert len(passes) == -(-count // CHUNK)
+    assert [k for k, _ in passes] == [CHUNK] * (len(passes) - 1) + [
+        count - CHUNK * (len(passes) - 1)]
+    # a chunk spans tensors, and a tensor spans chunks
+    assert max(len(stacked) for _, stacked in passes) > 1
+    assert sum("enc.layer0.ffn.fc1.w" in stacked for _, stacked in passes) == 2
     assert set(probes.values()) == {1}
-    assert len(probes) == 2 * model.param_count()
-    assert len({(name, i) for name, i, _ in probes}) == model.param_count()
+    assert len(probes) == 2 * count
+    assert len({(name, i) for name, i, _ in probes}) == count
     for name, p in model.named_parameters():  # every tensor restored
         assert p.data.tobytes() == originals[name].tobytes()
+
+
+def stacked_copies(p, rows):
+    """`p`'s data stacked to `rows` equal copies, as a probe stacks it."""
+    row = p.data if p.data.ndim == 2 else p.data.reshape(1, -1)
+    return np.repeat(row[None], rows, axis=0)
 
 
 @pytest.mark.parametrize("name", ["enc.patch_embed.w", "enc.layer0.attn.wq.w",
@@ -89,23 +98,17 @@ def test_every_parameter_scalar_probed_once_per_side():
 def test_row_losses_equal_loss_bit_for_bit(name):
     objective = small_objective()
     loss = objective.loss().data
-    objective.keep_stage_inputs()
-    stages = len(objective.stage_inputs)
-    assert stages == SMALL_ENC.layers + 3  # embedding, layers, final norm, heads
-    for start in range(stages):
-        assert objective.row_losses(1, start)[0].tobytes() == loss.tobytes()
+    assert objective.row_losses(1).shape == (1,)
+    assert objective.row_losses(1)[0].tobytes() == loss.tobytes()
     p = dict(objective.model.named_parameters())[name]
     orig = p.data
-    row = orig if orig.ndim == 2 else orig.reshape(1, -1)
-    p.data = np.repeat(row[None], 2 * CHUNK, axis=0)
+    p.data = stacked_copies(p, 2 * CHUNK)
     try:
-        # from every stage, the ones after the tensor's included
-        rows = [objective.row_losses(2 * CHUNK, start) for start in range(stages)]
+        losses = objective.row_losses(2 * CHUNK)
     finally:
         p.data = orig
-    for losses in rows:
-        assert losses.shape == (2 * CHUNK,)
-        assert {r.tobytes() for r in losses} == {loss.tobytes()}
+    assert losses.shape == (2 * CHUNK,)
+    assert {r.tobytes() for r in losses} == {loss.tobytes()}
 
 
 def failing_tensors(report):
@@ -171,8 +174,8 @@ def test_per_tensor_errors_match_scalar_loop_oracle():
 
 def two_full_passes_per_chunk(objective, h=1e-4):
     """The per-tensor errors of two whole-model no-grad passes per chunk of
-    CHUNK scalars, one at +h and one at -h: the reference for
-    `check_objective`'s one pass per chunk from the probed tensor's stage."""
+    CHUNK scalars of one tensor, one at +h and one at -h: the reference for
+    `check_objective`'s one pass per chunk of the scalars laid end to end."""
     model = objective.model
 
     def row_losses(rows):
@@ -226,7 +229,8 @@ def test_per_tensor_errors_equal_two_full_passes_per_chunk(enc, dec):
 
 
 # stages: 0 patch embedding, 1 and 2 the encoder layers, 3 the encoder's
-# final norm, 4 the heads
+# final norm, 4 the heads; `stage` is the first whose output branches into
+# the stacked rows, `layers_run` the encoder layers that run on them
 @pytest.mark.parametrize("name, stage, layers_run", [
     ("enc.patch_embed.w", 0, [0, 1]), ("enc.cls", 0, [0, 1]), ("enc.pos", 0, [0, 1]),
     ("enc.layer0.ffn.fc1.w", 1, [0, 1]), ("enc.layer1.attn.wk.w", 2, [1]),
@@ -237,29 +241,35 @@ def test_per_tensor_errors_equal_two_full_passes_per_chunk(enc, dec):
 ])
 def test_a_pass_runs_only_the_encoder_layers_after_the_probed_tensor(
         monkeypatch, name, stage, layers_run):
+    # rows branch at the first stacked tensor: the stages before it run on
+    # the clip's one row, the tensor's own stage and the later ones on all
     objective = make_objective(seed=0, enc=TWO_LAYER_ENC, dec=SMALL_DEC)
-    layers = objective.model.enc_layers
-    objective.keep_stage_inputs()
-    ran = []
-    true_call = EncoderLayer.__call__
+    model = objective.model
+    layers = model.enc_layers
+    outputs = []  # (stage, rows of its input, rows of its output)
 
-    def counting_call(layer, *args):
-        ran.append(layers.index(layer))
-        return true_call(layer, *args)
+    def recording(method, number):
+        def call(module, x, *args):
+            out = method(module, x, *args)
+            rows_in = x.shape[0] if isinstance(x, autodiff.Tensor) else len(x)
+            outputs.append((number(module), rows_in, out.shape[0]))
+            return out
+        return call
 
-    calls = []
-    row_losses = objective.row_losses
-
-    def counting_row_losses(rows, start):
-        calls.append((rows, start))
-        return row_losses(rows, start)
-
-    monkeypatch.setattr(EncoderLayer, "__call__", counting_call)
-    objective.row_losses = counting_row_losses
-    p = dict(objective.model.named_parameters())[name]
-    gradcheck._central_differences(objective, p, 1e-4)
-    chunks = -(-p.data.size // CHUNK)
-    assert len(calls) == chunks  # one pass per chunk, both sides in it
-    assert sum(rows for rows, _ in calls) == 2 * p.data.size
-    assert {start for _, start in calls} == {stage}
-    assert ran == layers_run * chunks
+    monkeypatch.setattr(CaptionerModel, "embed_patches",
+                        recording(CaptionerModel.embed_patches, lambda m: 0))
+    monkeypatch.setattr(EncoderLayer, "__call__",
+                        recording(EncoderLayer.__call__, lambda m: 1 + layers.index(m)))
+    monkeypatch.setattr(CaptionerModel, "encode",
+                        recording(CaptionerModel.encode, lambda m: len(layers) + 1))
+    p = dict(model.named_parameters())[name]
+    rows = 2 * CHUNK
+    p.data = stacked_copies(p, rows)
+    objective.row_losses(rows)
+    assert [s for s, _, _ in outputs] == [0, 1, 2, 1 + len(layers)]
+    assert outputs[0][1] == 1  # the clip enters as one row
+    assert [out for _, _, out in outputs] == [
+        rows if s >= stage else 1 for s, _, _ in outputs]
+    # a layer's input is the previous stage's output
+    assert all(outputs[i][1] == outputs[i - 1][2] for i in (1, 2))
+    assert [s - 1 for s, _, out in outputs[1:3] if out == rows] == layers_run

@@ -67,6 +67,25 @@ def test_embed_patches_locality():
     assert diff_rows.tolist() == [3]  # only the row of the perturbed patch
 
 
+def stack_param(p, k):
+    """Set `p` to k perturbed copies on a new leading axis, (k, *shape) for a
+    matrix and (k, 1, size) for a vector, as gradcheck stacks a probe."""
+    row = p.data if p.data.ndim == 2 else p.data.reshape(1, -1)
+    p.data = row[None] + 0.01 * rand((k, *row.shape), 9)
+
+
+@pytest.mark.parametrize("name", ["cls_token", "pos_embed", "patch_embed"])
+def test_embed_patches_from_one_row_against_stacked_param_equals_repeated(name):
+    model = small_model()
+    stack_param(model.patch_embed.w if name == "patch_embed" else getattr(model, name), 4)
+    patches = rand((1, 4, 8), 1)
+    with ad.no_grad():
+        broadcast = model.embed_patches(patches).data
+        repeated = model.embed_patches(np.repeat(patches, 4, axis=0)).data
+    assert broadcast.shape == (4, 5, 16)
+    assert broadcast.tobytes() == repeated.tobytes()
+
+
 def test_embed_patches_capacity_check():
     model = small_model(max_patches=4)
     with pytest.raises(ValueError):
@@ -119,6 +138,19 @@ def test_attention_mask_shape_mismatch_rejected():
     x = ad.Tensor(rand((1, 3, 8)))
     with pytest.raises(ValueError):
         attn(x, attn.keys_values(x), mask=np.zeros((2, 2)))
+
+
+def test_attention_one_query_row_against_stacked_keys_equals_repeated_rows():
+    # keys and values alone carry K rows: the one query row meets each of
+    # them, as that row repeated K times does
+    attn = MultiHeadAttention(8, 2, np.random.default_rng(4))
+    xq, xkv = rand((1, 3, 8), 1), rand((4, 5, 8), 2)
+    with ad.no_grad():
+        kv = attn.keys_values(ad.Tensor(xkv))
+        broadcast = attn(ad.Tensor(xq), kv).data
+        repeated = attn(ad.Tensor(np.repeat(xq, 4, axis=0)), kv).data
+    assert broadcast.shape == (4, 3, 8)
+    assert broadcast.tobytes() == repeated.tobytes()
 
 
 def test_attention_rows_are_distributions(attention_weights):
@@ -292,6 +324,18 @@ def test_tagging_probabilities_monotone_in_logits():
     probs = model.tagging_probabilities(encoded).data
     assert np.all((base > 0) == (probs > 0.5))
     assert np.all((probs > 0) & (probs < 1))
+
+
+@pytest.mark.parametrize("stacked", ["w", "b"])
+def test_tagging_logits_from_one_row_against_stacked_head_equals_repeated(stacked):
+    model = small_model()
+    stack_param(getattr(model.tag_head, stacked), 4)
+    encoded = ad.Tensor(rand((1, 5, 16), 1))
+    with ad.no_grad():
+        broadcast = model.tagging_logits(encoded).data
+        repeated = model.tagging_logits(ad.Tensor(np.repeat(encoded.data, 4, axis=0))).data
+    assert broadcast.shape == (4, 3)
+    assert broadcast.tobytes() == repeated.tobytes()
 
 
 def test_encoder_only_model_holds_encoder_and_tag_head():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from audiocap.audio import CLIP_SAMPLES
+from audiocap.audio import CLIP_SAMPLES, SAMPLE_RATE
 from audiocap.synth import (CHIRP_PHRASES, NOISE_PHRASES, TONE_PHRASES, Event,
-                            event_phrase, make_corpus, random_events,
-                            synthesize_event_clip)
+                            event_phrase, make_corpus, random_events, render_clip,
+                            render_scratch, synthesize_event_clip)
 
 
 def test_single_tone_clip():
@@ -61,6 +61,45 @@ def test_same_seed_bit_identical():
     b, cap_b, _ = synthesize_event_clip(events, seed=42)
     assert a.samples.tobytes() == b.samples.tobytes()
     assert cap_a == cap_b
+
+
+def reference_clip(events, seed):
+    """The clip from each event's formula, in fresh arrays: the reference
+    for `render_clip`'s in-place rendering into reused buffers."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros(CLIP_SAMPLES)
+    for e in sorted(events, key=lambda e: e.onset):
+        n = int(round(e.duration * SAMPLE_RATE))
+        t = np.arange(n, dtype=np.float64) / SAMPLE_RATE
+        if e.kind == "noise":
+            seg = rng.standard_normal(n) * e.amplitude
+        elif e.kind == "tone":
+            seg = np.sin(2 * np.pi * e.freq * t) * e.amplitude
+        else:
+            rate = (e.freq_end - e.freq) / (2 * e.duration)
+            seg = np.sin(2 * np.pi * (e.freq * t + rate * t * t)) * e.amplitude
+        fade = min(int(0.01 * SAMPLE_RATE), n // 2)
+        if fade > 0:
+            ramp = np.linspace(0.0, 1.0, fade)
+            seg[:fade] *= ramp
+            seg[-fade:] *= ramp[::-1]
+        start = int(round(e.onset * SAMPLE_RATE))
+        out[start:start + n] += seg
+    return np.clip(out, -1.0, 1.0)
+
+
+def test_render_into_reused_buffers_equals_fresh_arrays_bit_for_bit():
+    clips = [
+        [Event("chirp", 0.0, 3.0, freq=300.0, freq_end=900.0, amplitude=0.5),
+         Event("noise", 2.0, 2.5, amplitude=0.45),  # overlaps the chirp
+         Event("tone", 9.0, 1.0, freq=660.0, amplitude=0.5)],
+        [Event("tone", 0.5, 3 / SAMPLE_RATE, freq=220.0, amplitude=0.5),  # fade of 1
+         Event("noise", 1.0, 1.5, amplitude=0.15)],
+    ]
+    out, scratch = np.empty(CLIP_SAMPLES), render_scratch()
+    for seed, events in enumerate(clips * 2):  # the buffers hold the last clip
+        render_clip(events, seed, out, scratch)
+        assert out.tobytes() == reference_clip(events, seed).tobytes()
 
 
 def test_event_past_clip_end_rejected():
